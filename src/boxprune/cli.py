@@ -2,7 +2,9 @@
 
 Exit codes: 0 = enclosures emitted, 1 = proved infeasible (a success mode:
 the answer is "no solutions"), 2 = parse or usage error, 3 = atomic box
-budget exceeded (partial results are still printed, marked incomplete).
+budget exceeded (partial results are still printed, marked incomplete),
+4 = internal error (any other exception, reported as one line on stderr;
+nothing was proved).
 
 Output is deterministic: identical input and flags give byte-identical
 stdout. Timing is therefore never printed.
@@ -253,7 +255,12 @@ def main(argv: list[str] | None = None) -> int:
         show_aux=args.show_aux,
         echo=args.echo,
     )
-    return run(config)
+    try:
+        return run(config)
+    except Exception as exc:
+        # exit 1 would claim a proof of infeasibility, so a crash gets its own code
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

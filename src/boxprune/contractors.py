@@ -122,30 +122,43 @@ def contract_sum(x: Interval, y: Interval, z: Interval) -> tuple[Interval, Inter
         if x1.lo > x1.hi or y1.lo > y1.hi or z1.lo > z1.hi:
             return _EMPTY3
         # intersect returns its receiver when stable, so identity detects
-        # the fixpoint
-        if x1 is x and y1 is y and z1 is z:
+        # the fixpoint.  With y and z stable, x1 already lies inside z - y,
+        # so another pass would return these same objects.
+        if y1 is y and z1 is z:
             return x1, y1, z1
         x, y, z = x1, y1, z1
 
 
 def contract_sq(x: Interval, y: Interval) -> tuple[Interval, Interval]:
     """Narrow (x, y) around { (a, b) in x*y : a^2 = b }."""
+    # Narrowing twice by the same root or square changes nothing, so a pass
+    # that leaves x alone is at the fixpoint, and so is a later pass that
+    # leaves y alone, since the pass before narrowed x by the root of y.
+    settled = False
     while True:
         y1 = y.intersect(square(x))
+        if settled and y1 is y:
+            return x, y
         root = sqrt_outer(y1)
-        if root.lo > root.hi:
+        rlo = root.lo
+        if rlo > root.hi:
             return _EMPTY2
-        neg = _mk(-root.hi, -root.lo)
-        x1 = x.intersect(root).hull(x.intersect(neg))
+        # x meets the positive root branch, the negative one, or both; a
+        # branch x misses intersects to EMPTY, which the hull would drop
+        if x.lo > -rlo:
+            x1 = x.intersect(root)
+        elif x.hi < rlo:
+            x1 = x.intersect(_mk(-root.hi, -rlo))
+        else:
+            x1 = x.intersect(root).hull(x.intersect(_mk(-root.hi, -rlo)))
         if x1.lo > x1.hi:
             return _EMPTY2
         if x1.lo == x.lo and x1.hi == x.hi:
-            # the hull can rebuild an equal interval; keep the old object
+            # the hull can rebuild an equal interval; return the old object
             # so that identity keeps meaning "no change" for callers
-            x1 = x
-            if y1 is y:
-                return x1, y1
+            return x, y1
         x, y = x1, y1
+        settled = True
 
 
 def contract_mul(x: Interval, y: Interval, z: Interval) -> tuple[Interval, Interval, Interval]:
@@ -156,7 +169,8 @@ def contract_mul(x: Interval, y: Interval, z: Interval) -> tuple[Interval, Inter
         y1 = y.intersect(extdiv(z1, x1))
         if x1.lo > x1.hi or y1.lo > y1.hi or z1.lo > z1.hi:
             return _EMPTY3
-        if x1 is x and y1 is y and z1 is z:
+        # with x and y stable, z1 already lies inside x * y
+        if x1 is x and y1 is y:
             return x1, y1, z1
         x, y, z = x1, y1, z1
 
@@ -216,31 +230,28 @@ def apply_lifted(con: Constraint, box: Box) -> Box:
     that scope whenever the constraint is infeasible inside the input.
     """
     bivs = box._ivs
-    for v in con.variables:
-        if v not in bivs:
-            raise ValueError(f"constraint variable {v!r} outside box scope")
-    if box.is_empty:
-        return box
     args = con.args
+    try:
+        ivs = tuple(map(bivs.__getitem__, args))
+    except KeyError as missing:
+        raise ValueError(f"constraint variable {missing.args[0]!r} outside box scope") from None
+    # an empty box has every component empty, so one slot tells
+    if ivs[0].lo > ivs[0].hi:
+        return box
     if len(con.variables) == len(args):
         # distinct argument variables: one application is already the local
         # fixpoint because every contractor is idempotent bit for bit, and
         # each output slot is the input object itself whenever it did not
         # shrink
-        ivs = tuple(map(bivs.__getitem__, args))
-        out = _contract(con, ivs)
-        changed = False
-        for new, old in zip(out, ivs):
+        nivs = None
+        for a, new, old in zip(args, _contract(con, ivs), ivs):
             if new is not old:
                 if new.lo > new.hi:
                     return empty_box(box.names)
-                changed = True
-        if not changed:
-            return box
-        nivs = dict(bivs)
-        for a, new in zip(args, out):
-            nivs[a] = new
-        return Box._from_sorted(nivs)
+                if nivs is None:
+                    nivs = dict(bivs)
+                nivs[a] = new
+        return box if nivs is None else Box._from_sorted(nivs)
     # a repeated variable couples argument slots, so re-run the contractor
     # with the occurrences intersected until that stabilizes
     cur = {v: bivs[v] for v in con.variables}

@@ -119,7 +119,8 @@ class Interval:
     def intersect(self, other: "Interval") -> "Interval":
         # hot path: operands are canonical, so max/min of their bounds is
         # too.  Returns self unchanged when the result equals self, which
-        # lets callers detect stability by identity.
+        # lets callers detect stability by identity, and otherwise reuses
+        # other when the result equals it.
         slo = self.lo
         shi = self.hi
         olo = other.lo
@@ -132,6 +133,8 @@ class Interval:
             return EMPTY
         if lo == slo and hi == shi:
             return self
+        if lo == olo and hi == ohi:
+            return other
         return _raw(lo, hi)
 
     def hull(self, other: "Interval") -> "Interval":
@@ -140,8 +143,8 @@ class Interval:
             return other
         if other.lo > other.hi:
             return self
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
+        lo = self.lo if self.lo <= other.lo else other.lo
+        hi = self.hi if self.hi >= other.hi else other.hi
         if lo == self.lo and hi == self.hi:
             return self
         return _raw(lo, hi)
@@ -160,10 +163,16 @@ def _fmt_bound(x: float) -> str:
     return repr(x)
 
 
+# slot descriptors store a bound without the frozen dataclass's __setattr__
+_new = object.__new__
+_set_lo = Interval.lo.__set__
+_set_hi = Interval.hi.__set__
+
+
 def _raw(lo: float, hi: float) -> Interval:
-    iv = object.__new__(Interval)
-    object.__setattr__(iv, "lo", lo)
-    object.__setattr__(iv, "hi", hi)
+    iv = _new(Interval)
+    _set_lo(iv, lo)
+    _set_hi(iv, hi)
     return iv
 
 
@@ -180,9 +189,9 @@ def _mk(lo: float, hi: float) -> Interval:
         lo = 0.0
     if hi == 0.0:
         hi = 0.0
-    iv = object.__new__(Interval)
-    object.__setattr__(iv, "lo", lo)
-    object.__setattr__(iv, "hi", hi)
+    iv = _new(Interval)
+    _set_lo(iv, lo)
+    _set_hi(iv, hi)
     return iv
 
 
@@ -197,13 +206,6 @@ FULL = Interval(-_INF, _INF)
 # to the enclosing infinity for the direction being computed (-inf for a
 # lower bound, +inf for an upper bound), and 0 * inf is 0, the convention
 # interval multiplication needs.
-
-
-def _sum_is_exact(x: float, y: float, r: float) -> bool:
-    # TwoSum error term; zero iff r equals x + y exactly (finite operands).
-    t = r - x
-    err = (x - (r - t)) + (y - t)
-    return err == 0.0
 
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
@@ -230,29 +232,29 @@ def _mul_is_exact(x: float, y: float, r: float) -> bool:
 
 
 def add_down(x: float, y: float) -> float:
+    r = x + y
+    if -_INF < r < _INF:
+        # both operands finite; the TwoSum error term is zero iff r equals
+        # x + y exactly
+        t = r - x
+        return r if (x - (r - t)) + (y - t) == 0.0 else math.nextafter(r, -_INF)
     if x == -_INF or y == -_INF:
         return -_INF
     if x == _INF or y == _INF:
         return _INF
-    r = x + y
-    if r == _INF:
-        return _MAX
-    if r == -_INF:
-        return -_INF
-    return r if _sum_is_exact(x, y, r) else math.nextafter(r, -_INF)
+    return _MAX if r == _INF else -_INF
 
 
 def add_up(x: float, y: float) -> float:
+    r = x + y
+    if -_INF < r < _INF:
+        t = r - x
+        return r if (x - (r - t)) + (y - t) == 0.0 else math.nextafter(r, _INF)
     if x == _INF or y == _INF:
         return _INF
     if x == -_INF or y == -_INF:
         return -_INF
-    r = x + y
-    if r == -_INF:
-        return -_MAX
-    if r == _INF:
-        return _INF
-    return r if _sum_is_exact(x, y, r) else math.nextafter(r, _INF)
+    return -_MAX if r == -_INF else _INF
 
 
 def sub_down(x: float, y: float) -> float:
@@ -287,6 +289,29 @@ def mul_up(x: float, y: float) -> float:
     if r == _INF:
         return _INF
     return r if _mul_is_exact(x, y, r) else math.nextafter(r, _INF)
+
+
+def _sq_down(x: float) -> float:
+    # mul_down(x, x).  A square inside the exponent window implies an
+    # operand inside it too, so Dekker's test applies with one split.
+    r = x * x
+    if 1e-290 < r < 1e300:
+        c = _SPLIT * x
+        h = c - (c - x)
+        lo = x - h
+        return r if ((h * h - r) + h * lo + lo * h) + lo * lo == 0.0 else math.nextafter(r, -_INF)
+    return mul_down(x, x)
+
+
+def _sq_up(x: float) -> float:
+    # mul_up(x, x), as _sq_down
+    r = x * x
+    if 1e-290 < r < 1e300:
+        c = _SPLIT * x
+        h = c - (c - x)
+        lo = x - h
+        return r if ((h * h - r) + h * lo + lo * h) + lo * lo == 0.0 else math.nextafter(r, _INF)
+    return mul_up(x, x)
 
 
 def _div_is_exact(n: float, d: float, r: float) -> bool:
@@ -333,12 +358,19 @@ def _sqrt_cmp(r: float, x: float) -> int:
     # sign of r*r - x in exact arithmetic (finite nonneg operands).  When
     # the rounded product already differs from x the float comparison gives
     # the true sign, since rounding to nearest moves r*r by less than the
-    # gap separating two floats; only a tie needs exact rationals.
+    # gap separating two floats.  In a tie x is the rounded product, so
+    # Dekker's error term (see _mul_is_exact) has the sign of r*r - x.
     t = r * r
     if t > x:
         return 1
     if t < x:
         return -1
+    if 1e-250 < r < 1e250 and 1e-290 < x < 1e300:
+        c = _SPLIT * r
+        h = c - (c - r)
+        lo = r - h
+        err = ((h * h - x) + h * lo + lo * h) + lo * lo
+        return (err > 0.0) - (err < 0.0)
     nr, dr = r.as_integer_ratio()
     nx, dx = x.as_integer_ratio()
     lhs = nr * nr * dx
@@ -376,27 +408,27 @@ def add(a: Interval, b: Interval) -> Interval:
 def sub(a: Interval, b: Interval) -> Interval:
     if a.lo > a.hi or b.lo > b.hi:
         return EMPTY
-    return _mk(sub_down(a.lo, b.hi), sub_up(a.hi, b.lo))
+    return _mk(add_down(a.lo, -b.hi), add_up(a.hi, -b.lo))
 
 
 def mul(a: Interval, b: Interval) -> Interval:
     if a.lo > a.hi or b.lo > b.hi:
         return EMPTY
-    pairs = ((a.lo, b.lo), (a.lo, b.hi), (a.hi, b.lo), (a.hi, b.hi))
-    lo = min(mul_down(x, y) for x, y in pairs)
-    hi = max(mul_up(x, y) for x, y in pairs)
+    lo = min(mul_down(a.lo, b.lo), mul_down(a.lo, b.hi), mul_down(a.hi, b.lo), mul_down(a.hi, b.hi))
+    hi = max(mul_up(a.lo, b.lo), mul_up(a.lo, b.hi), mul_up(a.hi, b.lo), mul_up(a.hi, b.hi))
     return _mk(lo, hi)
 
 
 def square(a: Interval) -> Interval:
-    if a.lo > a.hi:
+    lo = a.lo
+    hi = a.hi
+    if lo > hi:
         return EMPTY
-    if a.lo >= 0.0:
-        return _mk(mul_down(a.lo, a.lo), mul_up(a.hi, a.hi))
-    if a.hi <= 0.0:
-        return _mk(mul_down(a.hi, a.hi), mul_up(a.lo, a.lo))
-    m = max(-a.lo, a.hi)
-    return _mk(0.0, mul_up(m, m))
+    if lo >= 0.0:
+        return _mk(_sq_down(lo), _sq_up(hi))
+    if hi <= 0.0:
+        return _mk(_sq_down(hi), _sq_up(lo))
+    return _mk(0.0, _sq_up(hi if hi > -lo else -lo))
 
 
 def sqrt_outer(a: Interval) -> Interval:

@@ -1,18 +1,23 @@
 """Fixpoint propagation: drive the per-constraint contractors to a common fixpoint.
 
-Three scheduling disciplines are provided.  All of them apply one lifted
-contractor at a time and stop when no application can change the box any
-more; because every contractor only ever shrinks intervals and float bounds
-form finite chains, termination needs no damping or epsilon cutoffs.  The
-disciplines visit constraints in different orders, but they land on the
-same box: each contractor is shrinking, order-preserving, and idempotent,
-which makes the common fixpoint unique for a given start box.
+One loop applies one lifted contractor at a time and stops when no
+application can change the box any more; because every contractor only ever
+shrinks intervals and float bounds form finite chains, termination needs no
+damping or epsilon cutoffs.  The three engines differ only in their
+schedule, the order in which the loop visits constraints, and they land on
+the same box: each contractor is shrinking, order-preserving, and
+idempotent, which makes the common fixpoint unique for a given start box.
+
+Every engine raises RuntimeError once it has spent ``max_steps``
+applications short of the fixpoint.  A correct system can hit that budget:
+near a double root propagation converges only linearly.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Generator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -56,94 +61,135 @@ class PropagationOutcome:
 
 Engine = Callable[..., PropagationOutcome]
 
+# A schedule yields the id of the next constraint to apply, is sent the
+# variables that application shrank (in the constraint's own variable
+# order), and returns once every constraint is known to be at its fixpoint.
+Schedule = Generator[int, tuple[str, ...], None]
+
 _DEFAULT_MAX_STEPS = 1_000_000
 
 
-def _overran(engine: str, budget: int, unit: str) -> RuntimeError:
-    return RuntimeError(
-        f"{engine} propagation exceeded {budget} {unit}; "
-        "this should be impossible for shrinking contractors and indicates a bug"
-    )
+def _sweeps(csp: Csp) -> Schedule:
+    changed = True
+    while changed:
+        changed = False
+        for con in csp.constraints:
+            if (yield con.cid):
+                changed = True
 
 
-def _check_scope(csp: Csp, box: Box) -> None:
+def _fifo(csp: Csp) -> Schedule:
+    watchers = var_index(csp)
+    queue = deque(con.cid for con in csp.constraints)
+    queued = set(queue)
+    while queue:
+        cid = queue.popleft()
+        queued.discard(cid)
+        for v in (yield cid):
+            for watcher in watchers[v]:
+                if watcher not in queued:
+                    queue.append(watcher)
+                    queued.add(watcher)
+
+
+def _uniform(csp: Csp, seed: int) -> Schedule:
+    rng = random.Random(seed)
+    watchers = var_index(csp)
+    unstable = {con.cid for con in csp.constraints}
+    while unstable:
+        pool = sorted(unstable)
+        cid = pool[rng.randrange(len(pool))]
+        for v in (yield cid):
+            unstable.update(watchers[v])
+        # either way the applied constraint sits at its own fixpoint now
+        unstable.discard(cid)
+
+
+# A traced run builds one record per application, and the frozen
+# dataclass's generated __init__ pays a checked __setattr__ per field, so
+# records are filled through their slot descriptors instead.  The loops
+# below avoid comprehensions, which cost a call each on these tiny scopes.
+_new = object.__new__
+_adopt = Box._from_sorted
+_set_cid, _set_kind, _set_before, _set_after, _set_changed = (
+    getattr(TraceRecord, f).__set__ for f in ("cid", "kind", "before", "after", "changed")
+)
+
+
+def _record(con, before: Box, after: Box) -> TraceRecord:
+    bivs, aivs = before._ivs, after._ivs
+    pre_ivs: dict = {}
+    post_ivs: dict = {}
+    for v in sorted(con.variables):
+        pre_ivs[v] = bivs[v]
+        post_ivs[v] = aivs[v]
+    pre = _adopt(pre_ivs)
+    post = pre if after is before else _adopt(post_ivs)
+    rec = _new(TraceRecord)
+    _set_cid(rec, con.cid)
+    _set_kind(rec, con.kind)
+    _set_before(rec, pre)
+    _set_after(rec, post)
+    _set_changed(rec, post is not pre)
+    return rec
+
+
+def _propagate(csp: Csp, box: Box, schedule: Schedule, record_trace: bool, max_steps: int) -> PropagationOutcome:
     if box.scope != csp.variables:
         missing = sorted(csp.variables - box.scope)
         extra = sorted(box.scope - csp.variables)
         raise ValueError(f"box scope does not match the CSP's variables (missing {missing}, extra {extra})")
-
-
-def _finish(box: Box, steps: int, effective: int, trace, record_trace: bool) -> PropagationOutcome:
-    status = Status.PROVED_EMPTY if box.is_empty else Status.FEASIBLE_UNKNOWN
+    trace: list[TraceRecord] = []
+    steps = effective = 0
+    if not box.is_empty and csp.constraints:
+        by_id = {con.cid: con for con in csp.constraints}
+        shrunk: tuple[str, ...] | None = None
+        while True:
+            try:
+                cid = schedule.send(shrunk)
+            except StopIteration:
+                break
+            if steps >= max_steps:
+                raise RuntimeError(f"propagation exceeded its budget of {max_steps} contractor applications")
+            con = by_id[cid]
+            after = apply_lifted(con, box)
+            steps += 1
+            if record_trace:
+                trace.append(_record(con, box, after))
+            # apply_lifted returns the input box object itself exactly when
+            # nothing shrank, and a shrunk box keeps the objects of its
+            # untouched components, so identity decides change
+            if after is box:
+                shrunk = ()
+            else:
+                effective += 1
+                aivs, bivs = after._ivs, box._ivs
+                changed = []
+                for v in con.variables:
+                    if aivs[v] is not bivs[v]:
+                        changed.append(v)
+                shrunk = tuple(changed)
+                box = after
+                if box.is_empty:
+                    break
     return PropagationOutcome(
         fixpoint=box,
-        status=status,
+        status=Status.PROVED_EMPTY if box.is_empty else Status.FEASIBLE_UNKNOWN,
         steps=steps,
         effective_steps=effective,
         trace=tuple(trace) if record_trace else None,
     )
 
 
-def _apply_traced(con, box: Box, trace, record_trace: bool) -> tuple[Box, bool]:
-    after = apply_lifted(con, box)
-    # apply_lifted returns the input box object itself exactly when nothing
-    # shrank, so identity decides change
-    changed = after is not box
-    if record_trace:
-        svars = sorted(con.variables)
-        bivs = box._ivs
-        before = Box._from_sorted({v: bivs[v] for v in svars})
-        if changed:
-            aivs = after._ivs
-            after_slice = Box._from_sorted({v: aivs[v] for v in svars})
-        else:
-            after_slice = before
-        trace.append(
-            TraceRecord(
-                cid=con.cid,
-                kind=con.kind,
-                before=before,
-                after=after_slice,
-                changed=changed,
-            )
-        )
-    return after, changed
-
-
 def propagate_roundrobin(
-    csp: Csp,
-    box: Box,
-    *,
-    record_trace: bool = False,
-    max_rounds: int = _DEFAULT_MAX_STEPS,
+    csp: Csp, box: Box, *, record_trace: bool = False, max_steps: int = _DEFAULT_MAX_STEPS
 ) -> PropagationOutcome:
     """Sweep constraints in id order until one full sweep changes nothing."""
-    _check_scope(csp, box)
-    trace: list[TraceRecord] = []
-    steps = effective = 0
-    if box.is_empty or not csp.constraints:
-        return _finish(box, steps, effective, trace, record_trace)
-    for _ in range(max_rounds):
-        sweep_changed = False
-        for con in csp.constraints:
-            box, changed = _apply_traced(con, box, trace, record_trace)
-            steps += 1
-            if changed:
-                effective += 1
-                sweep_changed = True
-            if box.is_empty:
-                return _finish(box, steps, effective, trace, record_trace)
-        if not sweep_changed:
-            return _finish(box, steps, effective, trace, record_trace)
-    raise _overran("round-robin", max_rounds, "rounds")
+    return _propagate(csp, box, _sweeps(csp), record_trace, max_steps)
 
 
 def propagate_worklist(
-    csp: Csp,
-    box: Box,
-    *,
-    record_trace: bool = False,
-    max_steps: int = _DEFAULT_MAX_STEPS,
+    csp: Csp, box: Box, *, record_trace: bool = False, max_steps: int = _DEFAULT_MAX_STEPS
 ) -> PropagationOutcome:
     """FIFO worklist: a changed variable requeues every constraint on it.
 
@@ -152,47 +198,11 @@ def propagate_worklist(
     constraint whose scope mentions one of them (the applied one included)
     is appended again unless already queued.
     """
-    _check_scope(csp, box)
-    trace: list[TraceRecord] = []
-    steps = effective = 0
-    if box.is_empty or not csp.constraints:
-        return _finish(box, steps, effective, trace, record_trace)
-    watchers = var_index(csp)
-    by_id = {con.cid: con for con in csp.constraints}
-    queue = deque(con.cid for con in csp.constraints)
-    queued = set(queue)
-    while queue:
-        if steps >= max_steps:
-            raise _overran("worklist", max_steps, "contractor applications")
-        cid = queue.popleft()
-        queued.discard(cid)
-        con = by_id[cid]
-        before = box
-        box, changed = _apply_traced(con, box, trace, record_trace)
-        steps += 1
-        if box.is_empty:
-            effective += 1
-            return _finish(box, steps, effective, trace, record_trace)
-        if changed:
-            effective += 1
-            for v in con.variables:
-                # components keep their object when untouched, so identity
-                # spots the shrunk ones
-                if box[v] is not before[v]:
-                    for watcher in watchers[v]:
-                        if watcher not in queued:
-                            queue.append(watcher)
-                            queued.add(watcher)
-    return _finish(box, steps, effective, trace, record_trace)
+    return _propagate(csp, box, _fifo(csp), record_trace, max_steps)
 
 
 def propagate_random(
-    csp: Csp,
-    box: Box,
-    seed: int,
-    *,
-    record_trace: bool = False,
-    max_steps: int = _DEFAULT_MAX_STEPS,
+    csp: Csp, box: Box, seed: int, *, record_trace: bool = False, max_steps: int = _DEFAULT_MAX_STEPS
 ) -> PropagationOutcome:
     """Apply uniformly random constraints until all are simultaneously stable.
 
@@ -200,35 +210,7 @@ def propagate_random(
     box; an effective application invalidates every constraint sharing a
     changed variable.  Deterministic for a given seed.
     """
-    _check_scope(csp, box)
-    trace: list[TraceRecord] = []
-    steps = effective = 0
-    if box.is_empty or not csp.constraints:
-        return _finish(box, steps, effective, trace, record_trace)
-    rng = random.Random(seed)
-    watchers = var_index(csp)
-    by_id = {con.cid: con for con in csp.constraints}
-    unstable = set(by_id)
-    while unstable:
-        if steps >= max_steps:
-            raise _overran("random-order", max_steps, "contractor applications")
-        pool = sorted(unstable)
-        cid = pool[rng.randrange(len(pool))]
-        con = by_id[cid]
-        before = box
-        box, changed = _apply_traced(con, box, trace, record_trace)
-        steps += 1
-        if box.is_empty:
-            effective += 1
-            return _finish(box, steps, effective, trace, record_trace)
-        if changed:
-            effective += 1
-            for v in con.variables:
-                if box[v] is not before[v]:
-                    unstable.update(watchers[v])
-        # either way the applied constraint sits at its own fixpoint now
-        unstable.discard(cid)
-    return _finish(box, steps, effective, trace, record_trace)
+    return _propagate(csp, box, _uniform(csp, seed), record_trace, max_steps)
 
 
 def gamma_power(csp: Csp, box: Box, k: int) -> Box:

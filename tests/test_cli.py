@@ -127,6 +127,27 @@ def test_order_flag_changes_work_but_not_answers(problem_file, capsys):
     assert box_lines([path, "--order", "random:7"]) == reference
 
 
+def test_readme_circle_output_and_counts_per_order(problem_file, capsys):
+    path = problem_file(QUARTIC_WIDE)  # README's circle.txt
+    boxes = (
+        "box 00: {x=[-0.7861513777574236,-0.7861513777574229], y=[0.6180339887498943,0.6180339887498953]}\n"
+        "box 11: {x=[0.7861513777574229,0.7861513777574236], y=[0.6180339887498943,0.6180339887498953]}\n"
+    )
+    for order, applications in (("worklist", 1032), ("roundrobin", 1374), ("random:7", 945)):
+        assert main([path, "--order", order]) == 0
+        assert capsys.readouterr().out == boxes + f"emitted 2 boxes, pruned 2, contractor applications {applications}\n"
+
+
+def test_crash_exits_with_internal_error_code(problem_file, capsys):
+    deep = "(" * 3000 + "x" + ")" * 3000
+    code = main([problem_file(f"var x in [0, 1]; constraint {deep} = 0;")])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal error: RecursionError: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_trace_lines(problem_file, capsys):
     code = main([problem_file(QUARTIC_UNIT), "--trace"])
     out = capsys.readouterr().out

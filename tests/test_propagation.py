@@ -176,7 +176,7 @@ def test_status_reflects_emptiness(name, engine):
 def test_budget_overrun_raises_runtime_error():
     csp = quartic_csp_xyzu()
     with pytest.raises(RuntimeError, match="exceeded"):
-        propagate_roundrobin(csp, csp.initial_box, max_rounds=1)
+        propagate_roundrobin(csp, csp.initial_box, max_steps=3)
     with pytest.raises(RuntimeError, match="exceeded"):
         propagate_worklist(csp, csp.initial_box, max_steps=3)
     with pytest.raises(RuntimeError, match="exceeded"):
