@@ -26,7 +26,6 @@ from .decompose import (
     decompose,
     parse_problem,
     render_problem,
-    var_index,
 )
 from .interval import EMPTY, FULL, Interval
 from .oracle import GridSpec, bisect_root, extend_assignment, grid_solutions
@@ -74,7 +73,6 @@ __all__ = [
     "parse_problem",
     "decompose",
     "compile_problem",
-    "var_index",
     "render_problem",
     "PropagationOutcome",
     "Status",

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .boxes import Box
 from .decompose import Csp, ParseError, compile_problem, render_problem
@@ -23,21 +22,7 @@ from .oracle import GridSpec, grid_solutions
 from .propagation import PropagationOutcome, Status, get_engine
 from .search import BudgetExceeded, SolveReport, SolveStatus, solve
 
-__all__ = ["CliConfig", "run", "render_report", "main"]
-
-
-@dataclass(frozen=True, slots=True)
-class CliConfig:
-    input: str
-    eps: float = 1e-10
-    max_boxes: int = 4096
-    order: str = "worklist"
-    format: str = "text"
-    trace: bool = False
-    check_grid: int | None = None
-    propagate_only: bool = False
-    show_aux: bool = False
-    echo: bool = False
+__all__ = ["run", "render_report", "main"]
 
 
 def _engine_spec(text: str) -> str:
@@ -178,15 +163,16 @@ def _run_grid_check(csp: Csp, report: SolveReport, n: int) -> dict:
     return {"points": len(points), "enclosed": enclosed, "agreement": enclosed == len(points)}
 
 
-def run(config: CliConfig) -> int:
+def run(args: argparse.Namespace) -> int:
+    """Carry out one parsed command line; returns the exit code."""
     try:
-        if config.input == "-":
+        if args.input == "-":
             text = sys.stdin.read()
         else:
-            with open(config.input, "r", encoding="utf-8") as handle:
+            with open(args.input, "r", encoding="utf-8") as handle:
                 text = handle.read()
     except OSError as exc:
-        print(f"error: cannot read {config.input}: {exc}", file=sys.stderr)
+        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
 
     try:
@@ -195,26 +181,26 @@ def run(config: CliConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if config.echo:
+    if args.echo:
         sys.stdout.write(render_problem(csp.declarations, csp.source_equations))
         return 0
 
-    engine = get_engine(config.order)
-    names = _visible_vars(csp, config.show_aux)
+    engine = get_engine(args.order)
+    names = _visible_vars(csp, args.show_aux)
 
-    if config.propagate_only:
-        outcome = engine(csp, csp.initial_box, record_trace=config.trace)
-        sys.stdout.write(_render_fixpoint(outcome, config.format, names))
+    if args.propagate_only:
+        outcome = engine(csp, csp.initial_box, record_trace=args.trace)
+        sys.stdout.write(_render_fixpoint(outcome, args.format, names))
         return 1 if outcome.status is Status.PROVED_EMPTY else 0
 
     exit_code = 0
     try:
         report = solve(
             csp,
-            eps=config.eps,
-            max_boxes=config.max_boxes,
+            eps=args.eps,
+            max_boxes=args.max_boxes,
             engine=engine,
-            record_trace=config.trace,
+            record_trace=args.trace,
         )
     except BudgetExceeded as exc:
         report = exc.report
@@ -223,14 +209,14 @@ def run(config: CliConfig) -> int:
         exit_code = 1
 
     grid_check = None
-    if config.check_grid is not None:
+    if args.check_grid is not None:
         try:
-            grid_check = _run_grid_check(csp, report, config.check_grid)
+            grid_check = _run_grid_check(csp, report, args.check_grid)
         except ValueError as exc:
             print(f"error: grid check failed: {exc}", file=sys.stderr)
             return 2
 
-    sys.stdout.write(render_report(report, config.format, names, grid_check=grid_check))
+    sys.stdout.write(render_report(report, args.format, names, grid_check=grid_check))
     return exit_code
 
 
@@ -243,20 +229,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--max-boxes must be at least 1, got {args.max_boxes}")
     if args.check_grid is not None and args.check_grid < 2:
         parser.error(f"--check-grid needs at least 2 samples per axis, got {args.check_grid}")
-    config = CliConfig(
-        input=args.input,
-        eps=args.eps,
-        max_boxes=args.max_boxes,
-        order=args.order,
-        format=args.format,
-        trace=args.trace,
-        check_grid=args.check_grid,
-        propagate_only=args.propagate_only,
-        show_aux=args.show_aux,
-        echo=args.echo,
-    )
     try:
-        return run(config)
+        return run(args)
     except Exception as exc:
         # exit 1 would claim a proof of infeasibility, so a crash gets its own code
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

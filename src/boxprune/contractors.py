@@ -238,43 +238,28 @@ def apply_lifted(con: Constraint, box: Box) -> Box:
     # an empty box has every component empty, so one slot tells
     if ivs[0].lo > ivs[0].hi:
         return box
-    if len(con.variables) == len(args):
-        # distinct argument variables: one application is already the local
-        # fixpoint because every contractor is idempotent bit for bit, and
-        # each output slot is the input object itself whenever it did not
-        # shrink
-        nivs = None
-        for a, new, old in zip(args, _contract(con, ivs), ivs):
+    # Distinct argument variables need one pass: every contractor is
+    # idempotent bit for bit and returns the input object for a slot that
+    # did not shrink.  A repeated variable couples argument slots, so its
+    # occurrences are intersected and the contractor re-run until stable.
+    repeated = len(con.variables) != len(args)
+    nivs = bivs
+    while True:
+        stepped = False
+        for a, new in zip(args, _contract(con, ivs)):
+            old = nivs[a]
+            if repeated:
+                new = old.intersect(new)
             if new is not old:
                 if new.lo > new.hi:
                     return empty_box(box.names)
-                if nivs is None:
+                if nivs is bivs:
                     nivs = dict(bivs)
                 nivs[a] = new
-        return box if nivs is None else Box._from_sorted(nivs)
-    # a repeated variable couples argument slots, so re-run the contractor
-    # with the occurrences intersected until that stabilizes
-    cur = {v: bivs[v] for v in con.variables}
-    changed = False
-    while True:
-        out = _contract(con, tuple(cur[a] for a in args))
-        stepped = False
-        for a, iv in zip(args, out):
-            old = cur[a]
-            new = old.intersect(iv)
-            if new is not old:
-                if new.lo > new.hi:
-                    return empty_box(box.names)
-                cur[a] = new
                 stepped = True
-        if not stepped:
-            break
-        changed = True
-    if not changed:
-        return box
-    nivs = dict(bivs)
-    nivs.update(cur)
-    return Box._from_sorted(nivs)
+        if not (repeated and stepped):
+            return box if nivs is bivs else Box._from_sorted(nivs)
+        ivs = tuple(map(nivs.__getitem__, args))
 
 
 def big_gamma(csp, box: Box) -> Box:

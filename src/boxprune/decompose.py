@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from typing import Union
@@ -55,7 +55,6 @@ __all__ = [
     "parse_problem",
     "decompose",
     "compile_problem",
-    "var_index",
     "render_expr",
     "render_problem",
 ]
@@ -390,6 +389,11 @@ class Csp:
     they stand for an inexact literal).  ``aux_defs`` lists, in dependency
     order, how to evaluate each auxiliary from earlier values, which is what
     brute-force checking uses to extend a user-variable assignment.
+
+    ``watchers`` maps every variable to the ascending ids of the constraints
+    mentioning it; it is computed once at construction, which raises
+    ValueError when the ids are not 0..m-1 in order or a constraint names
+    an undeclared variable.
     """
 
     constraints: tuple[Constraint, ...]
@@ -399,6 +403,18 @@ class Csp:
     source_equations: tuple[tuple[ExprAst, ExprAst], ...]
     declarations: tuple[tuple[str, Interval], ...]
     aux_defs: tuple[tuple[str, str, tuple], ...]
+    watchers: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        index: dict[str, list[int]] = {v: [] for v in sorted(self.variables)}
+        for cid, con in enumerate(self.constraints):
+            if con.cid != cid:
+                raise ValueError(f"constraint at position {cid} has id {con.cid}")
+            for v in con.variables:
+                if v not in index:
+                    raise ValueError(f"constraint c{cid} names undeclared variable {v!r}")
+                index[v].append(cid)
+        object.__setattr__(self, "watchers", {v: tuple(cids) for v, cids in index.items()})
 
 
 _ZERO = Num("0", 0.0, True)
@@ -544,15 +560,6 @@ def decompose(
 def compile_problem(text: str) -> Csp:
     decls, equations = parse_problem(text)
     return decompose(decls, equations)
-
-
-def var_index(csp: Csp) -> dict[str, tuple[int, ...]]:
-    """Map every variable to the ascending ids of constraints mentioning it."""
-    idx: dict[str, list[int]] = {v: [] for v in sorted(csp.variables)}
-    for con in sorted(csp.constraints, key=lambda c: c.cid):
-        for v in con.variables:
-            idx[v].append(con.cid)
-    return {v: tuple(cids) for v, cids in idx.items()}
 
 
 # Canonical rendering (echo).

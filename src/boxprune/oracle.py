@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from .contractors import Constraint
 from .decompose import Add, Csp, ExprAst, Mul, Neg, Num, Pow, Sub, Var
 
@@ -86,6 +84,9 @@ def grid_solutions(
         total *= spec.n
     if total > spec.max_points:
         raise ValueError(f"grid of {total} points exceeds max_points={spec.max_points}")
+    # imported here so that loading the package does not pay for numpy
+    import numpy as np
+
     axes = [np.linspace(bounds[name][0], bounds[name][1], spec.n) for name in names]
     grids = np.meshgrid(*axes, indexing="ij")
     env = dict(zip(names, grids))

@@ -23,8 +23,8 @@ from enum import Enum
 from typing import Callable
 
 from .boxes import Box
-from .contractors import TraceRecord, apply_lifted, big_gamma
-from .decompose import Csp, var_index
+from .contractors import Constraint, TraceRecord, apply_lifted, big_gamma
+from .decompose import Csp
 
 __all__ = [
     "Status",
@@ -61,10 +61,12 @@ class PropagationOutcome:
 
 Engine = Callable[..., PropagationOutcome]
 
-# A schedule yields the id of the next constraint to apply, is sent the
-# variables that application shrank (in the constraint's own variable
-# order), and returns once every constraint is known to be at its fixpoint.
-Schedule = Generator[int, tuple[str, ...], None]
+# A schedule yields the next constraint to apply, is sent the variables
+# that application shrank (in the constraint's own variable order), and
+# returns once every constraint is known to be at its fixpoint.  Schedules
+# track constraints by id, which Csp guarantees is the position in
+# csp.constraints.
+Schedule = Generator[Constraint, tuple[str, ...], None]
 
 _DEFAULT_MAX_STEPS = 1_000_000
 
@@ -74,18 +76,18 @@ def _sweeps(csp: Csp) -> Schedule:
     while changed:
         changed = False
         for con in csp.constraints:
-            if (yield con.cid):
+            if (yield con):
                 changed = True
 
 
 def _fifo(csp: Csp) -> Schedule:
-    watchers = var_index(csp)
-    queue = deque(con.cid for con in csp.constraints)
+    constraints, watchers = csp.constraints, csp.watchers
+    queue = deque(range(len(constraints)))
     queued = set(queue)
     while queue:
         cid = queue.popleft()
         queued.discard(cid)
-        for v in (yield cid):
+        for v in (yield constraints[cid]):
             for watcher in watchers[v]:
                 if watcher not in queued:
                     queue.append(watcher)
@@ -94,12 +96,12 @@ def _fifo(csp: Csp) -> Schedule:
 
 def _uniform(csp: Csp, seed: int) -> Schedule:
     rng = random.Random(seed)
-    watchers = var_index(csp)
-    unstable = {con.cid for con in csp.constraints}
+    constraints, watchers = csp.constraints, csp.watchers
+    unstable = set(range(len(constraints)))
     while unstable:
         pool = sorted(unstable)
         cid = pool[rng.randrange(len(pool))]
-        for v in (yield cid):
+        for v in (yield constraints[cid]):
             unstable.update(watchers[v])
         # either way the applied constraint sits at its own fixpoint now
         unstable.discard(cid)
@@ -142,16 +144,14 @@ def _propagate(csp: Csp, box: Box, schedule: Schedule, record_trace: bool, max_s
     trace: list[TraceRecord] = []
     steps = effective = 0
     if not box.is_empty and csp.constraints:
-        by_id = {con.cid: con for con in csp.constraints}
         shrunk: tuple[str, ...] | None = None
         while True:
             try:
-                cid = schedule.send(shrunk)
+                con = schedule.send(shrunk)
             except StopIteration:
                 break
             if steps >= max_steps:
                 raise RuntimeError(f"propagation exceeded its budget of {max_steps} contractor applications")
-            con = by_id[cid]
             after = apply_lifted(con, box)
             steps += 1
             if record_trace:

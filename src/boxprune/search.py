@@ -157,27 +157,34 @@ def solve(
             traces=tuple(traces) if record_trace else None,
         )
 
-    stack: list[tuple[str, Box]] = [("", csp.initial_box)]
+    # a node's path is its depth and the integer whose low `depth` bits
+    # spell the path; the string is built only for nodes the report keeps
+    stack: list[tuple[int, int, Box]] = [(0, 0, csp.initial_box)]
     while stack:
-        path, box = stack.pop()
-        max_depth = max(max_depth, len(path))
+        depth, bits, box = stack.pop()
+        max_depth = max(max_depth, depth)
         outcome = engine(csp, box, record_trace=record_trace)
         applications += outcome.steps
         if record_trace:
-            traces.append((path, outcome.trace))
+            traces.append((_path(depth, bits), outcome.trace))
         fixpoint = outcome.fixpoint
         if fixpoint.is_empty:
             pruned_count += 1
             if keep_pruned:
-                pruned.append((box, path))
+                pruned.append((box, _path(depth, bits)))
             continue
         var = pick_split_var(fixpoint, csp.user_vars, eps)
         if var is None:
             if len(atomic) >= max_boxes:
                 raise BudgetExceeded(max_boxes, report(incomplete=True))
-            atomic.append((fixpoint, path))
+            atomic.append((fixpoint, _path(depth, bits)))
             continue
         left, right = split(fixpoint, var)
-        stack.append((path + "1", right))
-        stack.append((path + "0", left))
+        stack.append((depth + 1, bits << 1 | 1, right))
+        stack.append((depth + 1, bits << 1, left))
     return report(incomplete=False)
+
+
+def _path(depth: int, bits: int) -> str:
+    # the leading 1 keeps the path's leading zeros in the binary spelling
+    return bin(1 << depth | bits)[3:]

@@ -2,11 +2,16 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import boxprune
 from boxprune import compile_problem, solve
-from boxprune.cli import CliConfig, main, run
+from boxprune.cli import main
 
 from helpers import QUARTIC_UNIT, QUARTIC_WIDE, X_STAR, Y_STAR
 
@@ -208,6 +213,7 @@ def test_check_grid_json(problem_file, capsys):
     code = main([problem_file(POINT_SYSTEM), "--check-grid", "5", "--format", "json"])
     assert code == 0
     obj = json.loads(capsys.readouterr().out)
+    assert obj["boxes"][0]["bindings"]["x"] == [2.0, 2.0]
     assert obj["grid_check"] == {"points": 1, "enclosed": 1, "agreement": True}
 
 
@@ -251,8 +257,8 @@ def test_flag_validation_exits_with_usage_error(problem_file):
         assert exc.value.code == 2
 
 
-def test_run_accepts_a_config_object(problem_file, capsys):
-    code = run(CliConfig(input=problem_file(POINT_SYSTEM), format="json"))
-    assert code == 0
-    obj = json.loads(capsys.readouterr().out)
-    assert obj["boxes"][0]["bindings"]["x"] == [2.0, 2.0]
+def test_importing_the_cli_does_not_load_numpy():
+    # only --check-grid uses numpy, and loading it dominates start-up time
+    env = dict(os.environ, PYTHONPATH=str(Path(boxprune.__file__).parents[1]))
+    code = "import sys, boxprune.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from boxprune import FULL, Interval, compile_problem, parse_problem, render_problem, var_index
+from boxprune import FULL, Interval, compile_problem, parse_problem, render_problem
 from boxprune.decompose import (
     Add,
     Mul,
@@ -247,12 +247,12 @@ def test_duplicate_declarations_rejected_by_decompose():
         decompose([("x", FULL), ("x", FULL)], [])
 
 
-# var_index.
+# The variable index (Csp.watchers) and the checks that build it.
 
 
 def test_var_index_on_quartic():
     csp = compile_problem(QUARTIC_UNIT)
-    idx = var_index(csp)
+    idx = csp.watchers
     assert idx["y"] == (0, 1, 2)
     assert idx["x"] == (0,)
     assert idx["_t0"] == (1, 2)
@@ -261,12 +261,23 @@ def test_var_index_on_quartic():
 
 def test_var_index_unconstrained_variable():
     csp = make_csp([Constraint("const", ("a",), cid=0, value=1.0)], {"a": FULL, "b": FULL})
-    assert var_index(csp)["b"] == ()
+    assert csp.watchers["b"] == ()
 
 
 def test_var_index_repeated_argument_counted_once():
     csp = make_csp([Constraint("sq", ("x", "x"), cid=0)], {"x": FULL})
-    assert var_index(csp)["x"] == (0,)
+    assert csp.watchers["x"] == (0,)
+
+
+def test_csp_rejects_ids_out_of_tuple_order():
+    cons = [Constraint("const", ("x",), cid=1, value=1.0), Constraint("const", ("x",), cid=0, value=2.0)]
+    with pytest.raises(ValueError, match="position 0 has id 1"):
+        make_csp(cons, {"x": FULL})
+
+
+def test_csp_rejects_a_constraint_over_an_undeclared_variable():
+    with pytest.raises(ValueError, match="undeclared variable 'y'"):
+        make_csp([Constraint("sq", ("x", "y"), cid=0)], {"x": FULL})
 
 
 # Soundness of the flattening: a point satisfies the source equations iff

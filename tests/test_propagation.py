@@ -1,5 +1,7 @@
 """Fixpoint engines: scheduling, termination, traces, and confluence."""
 
+import hashlib
+
 import pytest
 
 from boxprune import (
@@ -246,6 +248,49 @@ def test_engines_agree_on_proved_empty():
     ]
     assert boxes[0] == boxes[1] == boxes[2]
     assert boxes[0].is_empty
+
+
+# Application counts and traces, pinned per schedule.  Any change to a
+# schedule, a contractor or the lift shows up here even when the fixpoint
+# stays the same.
+
+BROYDEN_2 = (
+    "var x1 in [-1, 1]; var x2 in [-1, 1];"
+    " constraint (3 - 2*x1)*x1 + 1 - 2*x2 = 0; constraint (3 - 2*x2)*x2 + 1 - x1 = 0;"
+)
+# the same system with x_i twice in one product, so that product takes the
+# lift's path for repeated argument variables
+BROYDEN_2_REPEATED = (
+    "var x1 in [-1, 1]; var x2 in [-1, 1];"
+    " constraint 3*x1 - x1*x1*2 + 1 - 2*x2 = 0; constraint 3*x2 - x2*x2*2 + 1 - x1 = 0;"
+)
+
+PINNED = [
+    ("xyzu-right", "worklist", 501, 497, "a9c56ce4816959cb7f5d7cdc901774c7b2f322a749a7290a28122026f9ddfcfc"),
+    ("xyzu-right", "roundrobin", 668, 497, "398179af38311426dbeca0491c49296cd6e90e9fdefc6f42f5a251d28a41ff80"),
+    ("xyzu-right", "random:7", 460, 457, "ced80dd856b5e3a3e72c382d8b62922a021d00871dfcb6771c9c95f811088fdc"),
+    ("broyden-2", "worklist", 1527, 759, "6d253e546c81b514a09b160434b897113543e1660667931fb55e094c62c90d57"),
+    ("broyden-2", "roundrobin", 2355, 1400, "c51fd2adbaa01fc6f347a750fa289ab9641d238241b219f5c57f0b784271fa34"),
+    ("broyden-2", "random:7", 894, 871, "8f4672ccb0102b2617692b37655b0b861ab4c5d50fe87051dfe4c6a9efc00a6d"),
+    ("broyden-2-repeated", "worklist", 718, 335, "d9894250653a5292892615b91810abd9fa0018648e3f26e08a79481761ae5682"),
+    ("broyden-2-repeated", "roundrobin", 3114, 335, "68511e8fd25ae25ed4b3e343ce695f86c6d7d84e8d60306d5253ebba378f7ea7"),
+    ("broyden-2-repeated", "random:7", 382, 331, "3ff9666de93f0a05804b5ef206f2bbd5f3880cea85786effade35624b5e431f1"),
+]
+
+
+@pytest.mark.parametrize("problem,order,steps,effective,trace_sha256", PINNED)
+def test_counts_and_trace_are_pinned(problem, order, steps, effective, trace_sha256):
+    if problem == "xyzu-right":
+        csp, box = quartic_csp_xyzu(), right_half_box()
+    else:
+        csp = compile_problem(BROYDEN_2 if problem == "broyden-2" else BROYDEN_2_REPEATED)
+        box = csp.initial_box
+    engine = get_engine(order)
+    traced = engine(csp, box, record_trace=True)
+    assert (traced.steps, traced.effective_steps) == (steps, effective)
+    text = "\n".join(rec.to_text() for rec in traced.trace)
+    assert hashlib.sha256(text.encode()).hexdigest() == trace_sha256
+    assert engine(csp, box) == PropagationOutcome(traced.fixpoint, traced.status, steps, effective)
 
 
 # Engine lookup.

@@ -171,6 +171,18 @@ def test_emission_order_is_depth_first_left_first():
             assert not q.startswith(p)
 
 
+def test_deep_unbounded_search_is_pinned():
+    # each root, x = y = -1 and x = y = 1, lies over a thousand splits below
+    # the unbounded root box
+    report = solve(compile_problem("var x; var y; constraint x*y = 1; constraint x = y;"))
+    assert report.stats.contractor_applications == 20577
+    assert report.stats.max_depth == 1029
+    assert report.pruned_count == 2056
+    assert [path for _, path in report.atomic_boxes] == ["0" + "1" * 1028, "1" + "0" * 1028]
+    assert report.atomic_boxes[0][0]["x"].contains(-1.0)
+    assert report.atomic_boxes[1][0]["x"].contains(1.0)
+
+
 def test_budget_exceeded_carries_partial_report():
     csp = compile_problem(QUARTIC_WIDE)
     full = solve(csp, eps=1e-10)
