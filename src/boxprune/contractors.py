@@ -7,30 +7,43 @@ discarding no solution (correctness) and never growing an interval
 one call, which makes every contractor idempotent bit for bit under
 directed rounding, not just in exact arithmetic.
 
-``apply_lifted`` runs a contractor on a full box through the constraint's
-argument variables.  A variable repeated across argument positions is
-narrowed per occurrence and the occurrences intersected, iterating until
-stable, so e.g. sq(x, x) narrows x toward the hull of {0, 1}.
+The rules live in one float-level kernel per kind, which narrows bounds in
+place on two float lists indexed by variable slot; ``lift`` compiles a
+constraint against a slot numbering for the propagation loop.  The
+``contract_*`` functions and ``apply_lifted`` (a contractor on a full box)
+are thin wrappers that move Interval bounds into and out of those lists.
+A variable repeated across argument positions is narrowed per occurrence
+and the occurrences intersected, iterating until stable, so e.g. sq(x, x)
+narrows x toward the hull of {0, 1}.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 from .boxes import Box, empty_box
-from .interval import (
+# add, sub, mul, square and sqrt_outer are not called here; they stay names
+# of this module because perfbench/tracing.py counts calls through them
+from .interval import (  # noqa: F401
     EMPTY,
-    FULL,
     Interval,
-    _mk,
+    _raw,
     add,
+    add_bounds,
     div_down,
     div_up,
     mul,
+    mul_bounds,
+    sqrt_bounds,
     sqrt_outer,
     square,
+    square_bounds,
     sub,
+    sub_bounds,
 )
 
 __all__ = [
@@ -46,6 +59,7 @@ __all__ = [
 ]
 
 _ARITY = {"sum": 3, "mul": 3, "sq": 2, "const": 1}
+_INF = math.inf
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,74 +123,322 @@ class TraceRecord:
         }
 
 
-_EMPTY3 = (EMPTY, EMPTY, EMPTY)
-_EMPTY2 = (EMPTY, EMPTY)
+# Float-level kernels.
+#
+# One kernel per kind narrows its constraint in place on two float lists
+# holding the lower and upper bounds of every variable, at the argument
+# slots `s` (which must be distinct; see _repeated).  It returns -1 when the
+# relation has no point inside the bounds, and the caller then discards the
+# lists; otherwise it returns a mask whose bit i says that argument i
+# shrank.  The narrowing rules run to a local fixpoint inside one call,
+# which makes every kernel idempotent bit for bit under directed rounding,
+# not just in exact arithmetic.  Intersection is inline: a candidate bound
+# replaces the current one only when it is strictly tighter.
 
 
-def contract_sum(x: Interval, y: Interval, z: Interval) -> tuple[Interval, Interval, Interval]:
-    """Narrow (x, y, z) around { (a, b, c) in x*y*z : a + b = c }."""
+def _sum(lo: list[float], hi: list[float], s: tuple[int, ...], _value) -> int:
+    """x + y = z over the slots s = (x, y, z)."""
+    i, j, k = s
+    xl, xh, yl, yh, zl, zh = lo[i], hi[i], lo[j], hi[j], lo[k], hi[k]
     while True:
-        x1 = x.intersect(sub(z, y))
-        y1 = y.intersect(sub(z, x1))
-        z1 = z.intersect(add(x1, y1))
-        if x1.lo > x1.hi or y1.lo > y1.hi or z1.lo > z1.hi:
-            return _EMPTY3
-        # intersect returns its receiver when stable, so identity detects
-        # the fixpoint.  With y and z stable, x1 already lies inside z - y,
-        # so another pass would return these same objects.
-        if y1 is y and z1 is z:
-            return x1, y1, z1
-        x, y, z = x1, y1, z1
+        a, b = sub_bounds(zl, zh, yl, yh)
+        if a > xl:
+            xl = a
+        if b < xh:
+            xh = b
+        if xl > xh:
+            return -1
+        stable = True
+        a, b = sub_bounds(zl, zh, xl, xh)
+        if a > yl:
+            yl = a
+            stable = False
+        if b < yh:
+            yh = b
+            stable = False
+        if yl > yh:
+            return -1
+        a, b = add_bounds(xl, xh, yl, yh)
+        if a > zl:
+            zl = a
+            stable = False
+        if b < zh:
+            zh = b
+            stable = False
+        if zl > zh:
+            return -1
+        # with y and z stable, x already lies inside z - y, so another pass
+        # would change nothing
+        if stable:
+            return _store3(lo, hi, i, j, k, xl, xh, yl, yh, zl, zh)
 
 
-def contract_sq(x: Interval, y: Interval) -> tuple[Interval, Interval]:
-    """Narrow (x, y) around { (a, b) in x*y : a^2 = b }."""
+def _mul(lo: list[float], hi: list[float], s: tuple[int, ...], _value) -> int:
+    """x * y = z over the slots s = (x, y, z)."""
+    i, j, k = s
+    xl, xh, yl, yh, zl, zh = lo[i], hi[i], lo[j], hi[j], lo[k], hi[k]
+    while True:
+        a, b = mul_bounds(xl, xh, yl, yh)
+        if a > zl:
+            zl = a
+        if b < zh:
+            zh = b
+        if zl > zh:
+            return -1
+        stable = True
+        a, b = extdiv_bounds(zl, zh, yl, yh)
+        if a > xl:
+            xl = a
+            stable = False
+        if b < xh:
+            xh = b
+            stable = False
+        if xl > xh:
+            return -1
+        a, b = extdiv_bounds(zl, zh, xl, xh)
+        if a > yl:
+            yl = a
+            stable = False
+        if b < yh:
+            yh = b
+            stable = False
+        if yl > yh:
+            return -1
+        # with x and y stable, z already lies inside x * y
+        if stable:
+            return _store3(lo, hi, i, j, k, xl, xh, yl, yh, zl, zh)
+
+
+def _store3(lo, hi, i, j, k, xl, xh, yl, yh, zl, zh) -> int:
+    # write back the bounds that moved and return the mask naming them
+    m = 0
+    if xl != lo[i] or xh != hi[i]:
+        lo[i] = xl
+        hi[i] = xh
+        m = 1
+    if yl != lo[j] or yh != hi[j]:
+        lo[j] = yl
+        hi[j] = yh
+        m |= 2
+    if zl != lo[k] or zh != hi[k]:
+        lo[k] = zl
+        hi[k] = zh
+        m |= 4
+    return m
+
+
+def _sq(lo: list[float], hi: list[float], s: tuple[int, ...], _value) -> int:
+    """x^2 = y over the slots s = (x, y)."""
+    i, j = s
+    xl, xh, yl, yh = lo[i], hi[i], lo[j], hi[j]
     # Narrowing twice by the same root or square changes nothing, so a pass
     # that leaves x alone is at the fixpoint, and so is a later pass that
     # leaves y alone, since the pass before narrowed x by the root of y.
     settled = False
     while True:
-        y1 = y.intersect(square(x))
-        if settled and y1 is y:
-            return x, y
-        root = sqrt_outer(y1)
-        rlo = root.lo
-        if rlo > root.hi:
-            return _EMPTY2
-        # x meets the positive root branch, the negative one, or both; a
-        # branch x misses intersects to EMPTY, which the hull would drop
-        if x.lo > -rlo:
-            x1 = x.intersect(root)
-        elif x.hi < rlo:
-            x1 = x.intersect(_mk(-root.hi, -rlo))
-        else:
-            x1 = x.intersect(root).hull(x.intersect(_mk(-root.hi, -rlo)))
-        if x1.lo > x1.hi:
-            return _EMPTY2
-        if x1.lo == x.lo and x1.hi == x.hi:
-            # the hull can rebuild an equal interval; return the old object
-            # so that identity keeps meaning "no change" for callers
-            return x, y1
-        x, y = x1, y1
+        stable = True
+        a, b = square_bounds(xl, xh)
+        if a > yl:
+            yl = a
+            stable = False
+        if b < yh:
+            yh = b
+            stable = False
+        if yl > yh:
+            return -1
+        if settled and stable:
+            break
+        rl, rh = sqrt_bounds(yl, yh)
+        if rl > rh:
+            return -1
+        # x meets the positive root branch, the negative one, or both; the
+        # hull drops a branch that x misses
+        pl = xl if xl >= rl else rl
+        ph = xh if xh <= rh else rh
+        if xl <= -rl:
+            nl = -rh + 0.0
+            nh = -rl + 0.0
+            if xl > nl:
+                nl = xl
+            if xh < nh:
+                nh = xh
+            if xh < rl or pl > ph:
+                pl, ph = nl, nh
+            elif nl <= nh:
+                if nl < pl:
+                    pl = nl
+                if nh > ph:
+                    ph = nh
+        if pl > ph:
+            return -1
+        if pl == xl and ph == xh:
+            break
+        xl, xh = pl, ph
         settled = True
+    m = 0
+    if xl != lo[i] or xh != hi[i]:
+        lo[i] = xl
+        hi[i] = xh
+        m = 1
+    if yl != lo[j] or yh != hi[j]:
+        lo[j] = yl
+        hi[j] = yh
+        m |= 2
+    return m
+
+
+def _const(lo: list[float], hi: list[float], s: tuple[int, ...], value: float) -> int:
+    """x = value over the slot s = (x,); value is a float without -0.0."""
+    (i,) = s
+    xl, xh = lo[i], hi[i]
+    if value > xl:
+        xl = value
+    if value < xh:
+        xh = value
+    if xl > xh:
+        return -1
+    if xl == lo[i] and xh == hi[i]:
+        return 0
+    lo[i] = xl
+    hi[i] = xh
+    return 1
+
+
+_KERNELS = {"sum": _sum, "mul": _mul, "sq": _sq, "const": _const}
+
+
+def _repeated(kernel, variables, lo, hi, s, value) -> int:
+    # A variable repeated across argument slots couples them, so the kernel
+    # runs on a copy with one position per argument, each occurrence's
+    # result is intersected into the variable, and the kernel is re-run
+    # until no occurrence narrows the variable further.  The mask has one
+    # bit per entry of `variables`, the distinct slots in first-occurrence
+    # order.
+    old_lo = [lo[v] for v in variables]
+    old_hi = [hi[v] for v in variables]
+    positions = tuple(range(len(s)))
+    while True:
+        cl = [lo[a] for a in s]
+        ch = [hi[a] for a in s]
+        m = kernel(cl, ch, positions, value)
+        if m < 0:
+            return -1
+        stepped = False
+        for p, a in enumerate(s):
+            if cl[p] > lo[a]:
+                lo[a] = cl[p]
+                stepped = True
+            if ch[p] < hi[a]:
+                hi[a] = ch[p]
+                stepped = True
+            if lo[a] > hi[a]:
+                return -1
+        if not stepped:
+            break
+    m = 0
+    for b, v in enumerate(variables):
+        if lo[v] != old_lo[b] or hi[v] != old_hi[b]:
+            m |= 1 << b
+    return m
+
+
+class Lifted(NamedTuple):
+    """A constraint compiled against integer variable slots.
+
+    ``kernel(lo, hi, args, value)`` narrows the constraint in place on the
+    bound lists and returns -1 (infeasible) or a change mask;
+    ``shrunk[mask]`` lists the slots that mask names, in the constraint's
+    first-occurrence variable order.  ``sorted_slots`` holds the
+    constraint's slots in variable-name order, the order of trace records.
+    """
+
+    kernel: Callable[[list[float], list[float], tuple[int, ...], float | None], int]
+    args: tuple[int, ...]
+    value: float | None
+    shrunk: tuple[tuple[int, ...], ...]
+    sorted_slots: tuple[int, ...]
+
+
+def lift(con: Constraint, slot: Mapping[str, int]) -> Lifted:
+    """Compile `con` against the slot numbering `slot` (variable -> index).
+
+    A slot numbering in name order makes ``sorted_slots`` name-sorted.
+    """
+    args = tuple(map(slot.__getitem__, con.args))
+    kernel = _KERNELS[con.kind]
+    if len(con.variables) == len(args):
+        variables = args
+    else:
+        variables = tuple(map(slot.__getitem__, con.variables))
+        kernel = partial(_repeated, kernel, variables)
+    # Interval(c, c) is how the constant enters the relation: a float with
+    # -0.0 normalized
+    value = None if con.value is None else float(con.value) + 0.0
+    # bit b of a mask stands for variables[b]
+    shrunk = [()]
+    for v in variables:
+        shrunk += [t + (v,) for t in shrunk]
+    return Lifted(kernel, args, value, tuple(shrunk), tuple(sorted(variables)))
+
+
+def _contract(kernel, ivs: tuple[Interval, ...], value=None) -> tuple[Interval, ...]:
+    # any empty argument empties every argument
+    for iv in ivs:
+        if iv.lo > iv.hi:
+            return (EMPTY,) * len(ivs)
+    lo = [iv.lo for iv in ivs]
+    hi = [iv.hi for iv in ivs]
+    m = kernel(lo, hi, tuple(range(len(ivs))), value)
+    if m < 0:
+        return (EMPTY,) * len(ivs)
+    # an argument that did not shrink is returned as the same object
+    return tuple(_raw(lo[p], hi[p]) if m >> p & 1 else iv for p, iv in enumerate(ivs))
+
+
+def contract_sum(x: Interval, y: Interval, z: Interval) -> tuple[Interval, Interval, Interval]:
+    """Narrow (x, y, z) around { (a, b, c) in x*y*z : a + b = c }."""
+    return _contract(_sum, (x, y, z))
+
+
+def contract_sq(x: Interval, y: Interval) -> tuple[Interval, Interval]:
+    """Narrow (x, y) around { (a, b) in x*y : a^2 = b }."""
+    return _contract(_sq, (x, y))
 
 
 def contract_mul(x: Interval, y: Interval, z: Interval) -> tuple[Interval, Interval, Interval]:
     """Narrow (x, y, z) around { (a, b, c) in x*y*z : a * b = c }."""
-    while True:
-        z1 = z.intersect(mul(x, y))
-        x1 = x.intersect(extdiv(z1, y))
-        y1 = y.intersect(extdiv(z1, x1))
-        if x1.lo > x1.hi or y1.lo > y1.hi or z1.lo > z1.hi:
-            return _EMPTY3
-        # with x and y stable, z1 already lies inside x * y
-        if x1 is x and y1 is y:
-            return x1, y1, z1
-        x, y, z = x1, y1, z1
+    return _contract(_mul, (x, y, z))
 
 
 def contract_const(c: float, x: Interval) -> Interval:
-    return x.intersect(Interval(c, c))
+    return _contract(_const, (x,), Interval(c, c).lo)[0]
+
+
+def extdiv_bounds(nl: float, nh: float, dl: float, dh: float) -> tuple[float, float]:
+    """Bounds of extdiv over nonempty operands; (inf, -inf) when empty."""
+    if dl == 0.0 == dh:
+        return (-_INF, _INF) if nl <= 0.0 <= nh else (_INF, -_INF)
+    if dl < 0.0 < dh:
+        return -_INF, _INF
+    if dl == 0.0:
+        if nl <= 0.0 <= nh:
+            return -_INF, _INF
+        if nl > 0.0:
+            return div_down(nl, dh) + 0.0, _INF
+        return -_INF, div_up(nh, dh) + 0.0
+    if dh == 0.0:
+        if nl <= 0.0 <= nh:
+            return -_INF, _INF
+        if nl > 0.0:
+            return -_INF, div_up(nl, dl) + 0.0
+        return div_down(nh, dl) + 0.0, _INF
+    if dl > 0.0:
+        lo = div_down(nl, dh) if nl >= 0.0 else div_down(nl, dl)
+        hi = div_up(nh, dl) if nh >= 0.0 else div_up(nh, dh)
+    else:
+        lo = div_down(nh, dh) if nh > 0.0 else div_down(nh, dl)
+        hi = div_up(nl, dh) if nl < 0.0 else div_up(nl, dl)
+    return lo + 0.0, hi + 0.0
 
 
 def extdiv(n: Interval, d: Interval) -> Interval:
@@ -188,78 +450,39 @@ def extdiv(n: Interval, d: Interval) -> Interval:
     """
     if n.lo > n.hi or d.lo > d.hi:
         return EMPTY
-    if d.lo == 0.0 == d.hi:
-        return FULL if n.contains(0.0) else EMPTY
-    if d.lo < 0.0 < d.hi:
-        return FULL
-    if d.lo == 0.0:
-        if n.lo <= 0.0 <= n.hi:
-            return FULL
-        if n.lo > 0.0:
-            return _mk(div_down(n.lo, d.hi), math.inf)
-        return _mk(-math.inf, div_up(n.hi, d.hi))
-    if d.hi == 0.0:
-        if n.lo <= 0.0 <= n.hi:
-            return FULL
-        if n.lo > 0.0:
-            return _mk(-math.inf, div_up(n.lo, d.lo))
-        return _mk(div_down(n.hi, d.lo), math.inf)
-    if d.lo > 0.0:
-        lo = div_down(n.lo, d.hi) if n.lo >= 0.0 else div_down(n.lo, d.lo)
-        hi = div_up(n.hi, d.lo) if n.hi >= 0.0 else div_up(n.hi, d.hi)
-    else:
-        lo = div_down(n.hi, d.hi) if n.hi > 0.0 else div_down(n.hi, d.lo)
-        hi = div_up(n.lo, d.hi) if n.lo < 0.0 else div_up(n.lo, d.lo)
-    return _mk(lo, hi)
-
-
-def _contract(con: Constraint, ivs: tuple[Interval, ...]) -> tuple[Interval, ...]:
-    if con.kind == "sum":
-        return contract_sum(*ivs)
-    if con.kind == "mul":
-        return contract_mul(*ivs)
-    if con.kind == "sq":
-        return contract_sq(*ivs)
-    return (contract_const(con.value, ivs[0]),)
+    lo, hi = extdiv_bounds(n.lo, n.hi, d.lo, d.hi)
+    return EMPTY if lo > hi else _raw(lo, hi)
 
 
 def apply_lifted(con: Constraint, box: Box) -> Box:
     """Contract `box` through `con`, leaving variables outside `con` untouched.
 
     The result has the same scope as the input and is the empty box over
-    that scope whenever the constraint is infeasible inside the input.
+    that scope whenever the constraint is infeasible inside the input.  A
+    variable repeated across argument positions is narrowed per occurrence
+    and the occurrences intersected, iterating until stable, so e.g.
+    sq(x, x) narrows x toward the hull of {0, 1}.
     """
     bivs = box._ivs
-    args = con.args
     try:
-        ivs = tuple(map(bivs.__getitem__, args))
+        ivs = [bivs[v] for v in con.variables]
     except KeyError as missing:
         raise ValueError(f"constraint variable {missing.args[0]!r} outside box scope") from None
     # an empty box has every component empty, so one slot tells
     if ivs[0].lo > ivs[0].hi:
         return box
-    # Distinct argument variables need one pass: every contractor is
-    # idempotent bit for bit and returns the input object for a slot that
-    # did not shrink.  A repeated variable couples argument slots, so its
-    # occurrences are intersected and the contractor re-run until stable.
-    repeated = len(con.variables) != len(args)
-    nivs = bivs
-    while True:
-        stepped = False
-        for a, new in zip(args, _contract(con, ivs)):
-            old = nivs[a]
-            if repeated:
-                new = old.intersect(new)
-            if new is not old:
-                if new.lo > new.hi:
-                    return empty_box(box.names)
-                if nivs is bivs:
-                    nivs = dict(bivs)
-                nivs[a] = new
-                stepped = True
-        if not (repeated and stepped):
-            return box if nivs is bivs else Box._from_sorted(nivs)
-        ivs = tuple(map(nivs.__getitem__, args))
+    lifted = lift(con, {v: p for p, v in enumerate(con.variables)})
+    lo = [iv.lo for iv in ivs]
+    hi = [iv.hi for iv in ivs]
+    m = lifted.kernel(lo, hi, lifted.args, lifted.value)
+    if m == 0:
+        return box
+    if m < 0:
+        return empty_box(box.names)
+    nivs = dict(bivs)
+    for p in lifted.shrunk[m]:
+        nivs[con.variables[p]] = _raw(lo[p], hi[p])
+    return Box._from_sorted(nivs)
 
 
 def big_gamma(csp, box: Box) -> Box:

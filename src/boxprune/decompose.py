@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Union
 
 from .boxes import Box
-from .contractors import Constraint
+from .contractors import Constraint, Lifted, lift
 from .interval import FULL, Interval
 
 __all__ = [
@@ -390,10 +390,13 @@ class Csp:
     order, how to evaluate each auxiliary from earlier values, which is what
     brute-force checking uses to extend a user-variable assignment.
 
-    ``watchers`` maps every variable to the ascending ids of the constraints
-    mentioning it; it is computed once at construction, which raises
-    ValueError when the ids are not 0..m-1 in order or a constraint names
-    an undeclared variable.
+    The system is compiled once at construction for the propagation loop.
+    ``names`` holds the variables in name order, and a variable's position
+    there is its slot.  ``watchers[slot]`` holds the ascending ids of the
+    constraints mentioning that variable, and ``lifted[cid]`` is constraint
+    cid compiled against the slots (``contractors.lift``).  Construction
+    raises ValueError when the ids are not 0..m-1 in order or a constraint
+    names an undeclared variable.
     """
 
     constraints: tuple[Constraint, ...]
@@ -403,18 +406,24 @@ class Csp:
     source_equations: tuple[tuple[ExprAst, ExprAst], ...]
     declarations: tuple[tuple[str, Interval], ...]
     aux_defs: tuple[tuple[str, str, tuple], ...]
-    watchers: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    watchers: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    lifted: tuple[Lifted, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        index: dict[str, list[int]] = {v: [] for v in sorted(self.variables)}
+        names = tuple(sorted(self.variables))
+        slot = {v: i for i, v in enumerate(names)}
+        watchers: list[list[int]] = [[] for _ in names]
         for cid, con in enumerate(self.constraints):
             if con.cid != cid:
                 raise ValueError(f"constraint at position {cid} has id {con.cid}")
             for v in con.variables:
-                if v not in index:
+                if v not in slot:
                     raise ValueError(f"constraint c{cid} names undeclared variable {v!r}")
-                index[v].append(cid)
-        object.__setattr__(self, "watchers", {v: tuple(cids) for v, cids in index.items()})
+                watchers[slot[v]].append(cid)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "watchers", tuple(map(tuple, watchers)))
+        object.__setattr__(self, "lifted", tuple(lift(con, slot) for con in self.constraints))
 
 
 _ZERO = Num("0", 0.0, True)

@@ -4,8 +4,10 @@ Every arithmetic operation returns an interval that encloses the exact
 real image of its operands.  Bounds are computed in round-to-nearest and
 then stepped one ulp outward, but only when the float operation was
 inexact; exactly representable results keep their bit pattern.  Inexactness
-is detected with error-free transforms (TwoSum) or exact integer-ratio
-comparisons, so the widening is true directed rounding, not a blanket slop.
+is detected with error-free transforms (TwoSum, Dekker's two-product) or
+exact integer-ratio comparisons, so the widening is directed rounding, not
+a blanket slop.  One exception: a product or quotient that underflows to
+zero is stepped one subnormal outward even when zero itself would bound it.
 
 Infinite bounds are open: ``contains([0, inf], inf)`` is false.  An interval
 whose lower bound would exceed its upper bound is the empty set, represented
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 
 _INF = math.inf
 _MAX = sys.float_info.max
+_next = math.nextafter
 
 __all__ = [
     "Interval",
@@ -170,25 +173,13 @@ _set_hi = Interval.hi.__set__
 
 
 def _raw(lo: float, hi: float) -> Interval:
-    iv = _new(Interval)
-    _set_lo(iv, lo)
-    _set_hi(iv, hi)
-    return iv
+    """Fast constructor for bounds already known to be canonical.
 
-
-def _mk(lo: float, hi: float) -> Interval:
-    """Fast constructor for directed-rounding results.
-
-    An outward-rounded enclosure of a nonempty set of reals can never have
-    inverted bounds, a NaN bound (the endpoint helpers resolve infinities
-    before doing arithmetic), or lo = hi = +-inf, so only the -0.0
-    normalization from the validating constructor is needed: nextafter
-    toward +inf lands on -0.0 when applied to the smallest negative float.
+    The *_bounds functions below return such bounds: an outward-rounded
+    enclosure of a nonempty set of reals can never have inverted bounds, a
+    NaN bound (the endpoint helpers resolve infinities before doing
+    arithmetic), a -0.0 bound (they normalize it) or lo = hi = +-inf.
     """
-    if lo == 0.0:
-        lo = 0.0
-    if hi == 0.0:
-        hi = 0.0
     iv = _new(Interval)
     _set_lo(iv, lo)
     _set_hi(iv, hi)
@@ -211,33 +202,13 @@ FULL = Interval(-_INF, _INF)
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
 
 
-def _mul_is_exact(x: float, y: float, r: float) -> bool:
-    # r is the round-to-nearest product of x and y.  Inside a comfortable
-    # exponent window Dekker's two-product recovers the rounding error
-    # x * y - r exactly (nothing can over- or underflow there), so the
-    # error is zero iff the product was exact.  Outside the window fall
-    # back to exact rational arithmetic.
-    if 1e-250 < abs(x) < 1e250 and 1e-250 < abs(y) < 1e250 and 1e-290 < abs(r) < 1e300:
-        cx = _SPLIT * x
-        hx = cx - (cx - x)
-        lx = x - hx
-        cy = _SPLIT * y
-        hy = cy - (cy - y)
-        ly = y - hy
-        return ((hx * hy - r) + hx * ly + lx * hy) + lx * ly == 0.0
-    nx, dx = x.as_integer_ratio()
-    ny, dy = y.as_integer_ratio()
-    nr, dr = r.as_integer_ratio()
-    return nx * ny * dr == nr * dx * dy
-
-
 def add_down(x: float, y: float) -> float:
     r = x + y
     if -_INF < r < _INF:
         # both operands finite; the TwoSum error term is zero iff r equals
         # x + y exactly
         t = r - x
-        return r if (x - (r - t)) + (y - t) == 0.0 else math.nextafter(r, -_INF)
+        return r if (x - (r - t)) + (y - t) == 0.0 else _next(r, -_INF)
     if x == -_INF or y == -_INF:
         return -_INF
     if x == _INF or y == _INF:
@@ -249,7 +220,7 @@ def add_up(x: float, y: float) -> float:
     r = x + y
     if -_INF < r < _INF:
         t = r - x
-        return r if (x - (r - t)) + (y - t) == 0.0 else math.nextafter(r, _INF)
+        return r if (x - (r - t)) + (y - t) == 0.0 else _next(r, _INF)
     if x == _INF or y == _INF:
         return _INF
     if x == -_INF or y == -_INF:
@@ -265,30 +236,44 @@ def sub_up(x: float, y: float) -> float:
     return add_up(x, -y)
 
 
-def mul_down(x: float, y: float) -> float:
+def _mul_both(x: float, y: float) -> tuple[float, float]:
+    # (mul_down(x, y), mul_up(x, y)) from one product and one exactness test
     if x == 0.0 or y == 0.0:
-        return 0.0
-    if math.isinf(x) or math.isinf(y):
-        return -_INF if (x < 0.0) != (y < 0.0) else _INF
+        return 0.0, 0.0
     r = x * y
-    if r == _INF:
-        return _MAX
-    if r == -_INF:
-        return -_INF
-    return r if _mul_is_exact(x, y, r) else math.nextafter(r, -_INF)
+    if -_INF < r < _INF:
+        # Inside a comfortable exponent window Dekker's two-product recovers
+        # the rounding error x * y - r exactly (nothing can over- or
+        # underflow there), so the error is zero iff the product was exact.
+        # Outside the window fall back to exact rational arithmetic.
+        if 1e-250 < abs(x) < 1e250 and 1e-250 < abs(y) < 1e250 and 1e-290 < abs(r) < 1e300:
+            cx = _SPLIT * x
+            hx = cx - (cx - x)
+            lx = x - hx
+            cy = _SPLIT * y
+            hy = cy - (cy - y)
+            ly = y - hy
+            exact = ((hx * hy - r) + hx * ly + lx * hy) + lx * ly == 0.0
+        else:
+            nx, dx = x.as_integer_ratio()
+            ny, dy = y.as_integer_ratio()
+            nr, dr = r.as_integer_ratio()
+            exact = nx * ny * dr == nr * dx * dy
+        if exact:
+            return r, r
+        return _next(r, -_INF), _next(r, _INF)
+    if x == _INF or x == -_INF or y == _INF or y == -_INF:
+        return r, r
+    # finite operands whose product overflowed
+    return (_MAX, _INF) if r == _INF else (-_INF, -_MAX)
+
+
+def mul_down(x: float, y: float) -> float:
+    return _mul_both(x, y)[0]
 
 
 def mul_up(x: float, y: float) -> float:
-    if x == 0.0 or y == 0.0:
-        return 0.0
-    if math.isinf(x) or math.isinf(y):
-        return -_INF if (x < 0.0) != (y < 0.0) else _INF
-    r = x * y
-    if r == -_INF:
-        return -_MAX
-    if r == _INF:
-        return _INF
-    return r if _mul_is_exact(x, y, r) else math.nextafter(r, _INF)
+    return _mul_both(x, y)[1]
 
 
 def _sq_down(x: float) -> float:
@@ -299,7 +284,7 @@ def _sq_down(x: float) -> float:
         c = _SPLIT * x
         h = c - (c - x)
         lo = x - h
-        return r if ((h * h - r) + h * lo + lo * h) + lo * lo == 0.0 else math.nextafter(r, -_INF)
+        return r if ((h * h - r) + h * lo + lo * h) + lo * lo == 0.0 else _next(r, -_INF)
     return mul_down(x, x)
 
 
@@ -310,16 +295,16 @@ def _sq_up(x: float) -> float:
         c = _SPLIT * x
         h = c - (c - x)
         lo = x - h
-        return r if ((h * h - r) + h * lo + lo * h) + lo * lo == 0.0 else math.nextafter(r, _INF)
+        return r if ((h * h - r) + h * lo + lo * h) + lo * lo == 0.0 else _next(r, _INF)
     return mul_up(x, x)
 
 
 def _div_is_exact(n: float, d: float, r: float) -> bool:
-    # r == n/d exactly iff r*d == n in exact rational arithmetic
-    nr, dr = r.as_integer_ratio()
-    nd, dd = d.as_integer_ratio()
-    nn, dn = n.as_integer_ratio()
-    return nr * nd * dn == nn * dr * dd
+    # r == n/d exactly iff r*d == n exactly, that is iff r*d rounded down
+    # and rounded up both give n; _mul_both decides the product's exactness
+    # with floats inside Dekker's window and with rationals outside it
+    down, up = _mul_both(r, d)
+    return down == n == up
 
 
 def div_down(n: float, d: float) -> float:
@@ -338,7 +323,7 @@ def div_down(n: float, d: float) -> float:
         return _MAX
     if r == -_INF:
         return -_INF
-    return r if _div_is_exact(n, d, r) else math.nextafter(r, -_INF)
+    return r if _div_is_exact(n, d, r) else _next(r, -_INF)
 
 
 def div_up(n: float, d: float) -> float:
@@ -351,7 +336,7 @@ def div_up(n: float, d: float) -> float:
         return -_MAX
     if r == _INF:
         return _INF
-    return r if _div_is_exact(n, d, r) else math.nextafter(r, _INF)
+    return r if _div_is_exact(n, d, r) else _next(r, _INF)
 
 
 def _sqrt_cmp(r: float, x: float) -> int:
@@ -359,7 +344,7 @@ def _sqrt_cmp(r: float, x: float) -> int:
     # the rounded product already differs from x the float comparison gives
     # the true sign, since rounding to nearest moves r*r by less than the
     # gap separating two floats.  In a tie x is the rounded product, so
-    # Dekker's error term (see _mul_is_exact) has the sign of r*r - x.
+    # Dekker's error term (see _mul_both) has the sign of r*r - x.
     t = r * r
     if t > x:
         return 1
@@ -384,7 +369,7 @@ def sqrt_down(x: float) -> float:
     if x == _INF:
         return _INF
     r = math.sqrt(x)
-    return r if _sqrt_cmp(r, x) <= 0 else math.nextafter(r, -_INF)
+    return r if _sqrt_cmp(r, x) <= 0 else _next(r, -_INF)
 
 
 def sqrt_up(x: float) -> float:
@@ -393,7 +378,61 @@ def sqrt_up(x: float) -> float:
     if x == _INF:
         return _INF
     r = math.sqrt(x)
-    return r if _sqrt_cmp(r, x) >= 0 else math.nextafter(r, _INF)
+    return r if _sqrt_cmp(r, x) >= 0 else _next(r, _INF)
+
+
+# Interval arithmetic on bounds.
+#
+# Each *_bounds function takes the bounds of nonempty operands and returns
+# the (lo, hi) bounds of the outward-rounded result; the Interval
+# operations below wrap them, and the contractors' float-level kernels call
+# them directly.  An empty result is (inf, -inf), the bounds of EMPTY.
+# Adding 0.0 turns a -0.0 bound into +0.0 and leaves every other float
+# as it is (nextafter toward +inf lands on -0.0 from the smallest negative
+# float), so equal bounds are also equal bit for bit.
+
+
+def add_bounds(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
+    return add_down(al, bl) + 0.0, add_up(ah, bh) + 0.0
+
+
+def sub_bounds(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
+    return add_down(al, -bh) + 0.0, add_up(ah, -bl) + 0.0
+
+
+def mul_bounds(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
+    # the four corner products, each rounded both ways; ties between zeros
+    # of either sign do not matter once the result is normalized
+    d1, u1 = _mul_both(al, bl)
+    d2, u2 = _mul_both(al, bh)
+    d3, u3 = _mul_both(ah, bl)
+    d4, u4 = _mul_both(ah, bh)
+    lo = d1 if d1 < d2 else d2
+    if d3 < lo:
+        lo = d3
+    if d4 < lo:
+        lo = d4
+    hi = u1 if u1 > u2 else u2
+    if u3 > hi:
+        hi = u3
+    if u4 > hi:
+        hi = u4
+    return lo + 0.0, hi + 0.0
+
+
+def square_bounds(lo: float, hi: float) -> tuple[float, float]:
+    if lo >= 0.0:
+        return _sq_down(lo) + 0.0, _sq_up(hi) + 0.0
+    if hi <= 0.0:
+        return _sq_down(hi) + 0.0, _sq_up(lo) + 0.0
+    return 0.0, _sq_up(hi if hi > -lo else -lo) + 0.0
+
+
+def sqrt_bounds(lo: float, hi: float) -> tuple[float, float]:
+    """Bounds of { sqrt(x) : x in [lo, hi], x >= 0 }; empty if hi < 0."""
+    if hi < 0.0:
+        return _INF, -_INF
+    return sqrt_down(lo if lo > 0.0 else 0.0) + 0.0, sqrt_up(hi) + 0.0
 
 
 # Interval arithmetic.
@@ -402,38 +441,29 @@ def sqrt_up(x: float) -> float:
 def add(a: Interval, b: Interval) -> Interval:
     if a.lo > a.hi or b.lo > b.hi:
         return EMPTY
-    return _mk(add_down(a.lo, b.lo), add_up(a.hi, b.hi))
+    return _raw(*add_bounds(a.lo, a.hi, b.lo, b.hi))
 
 
 def sub(a: Interval, b: Interval) -> Interval:
     if a.lo > a.hi or b.lo > b.hi:
         return EMPTY
-    return _mk(add_down(a.lo, -b.hi), add_up(a.hi, -b.lo))
+    return _raw(*sub_bounds(a.lo, a.hi, b.lo, b.hi))
 
 
 def mul(a: Interval, b: Interval) -> Interval:
     if a.lo > a.hi or b.lo > b.hi:
         return EMPTY
-    lo = min(mul_down(a.lo, b.lo), mul_down(a.lo, b.hi), mul_down(a.hi, b.lo), mul_down(a.hi, b.hi))
-    hi = max(mul_up(a.lo, b.lo), mul_up(a.lo, b.hi), mul_up(a.hi, b.lo), mul_up(a.hi, b.hi))
-    return _mk(lo, hi)
+    return _raw(*mul_bounds(a.lo, a.hi, b.lo, b.hi))
 
 
 def square(a: Interval) -> Interval:
-    lo = a.lo
-    hi = a.hi
-    if lo > hi:
+    if a.lo > a.hi:
         return EMPTY
-    if lo >= 0.0:
-        return _mk(_sq_down(lo), _sq_up(hi))
-    if hi <= 0.0:
-        return _mk(_sq_down(hi), _sq_up(lo))
-    return _mk(0.0, _sq_up(hi if hi > -lo else -lo))
+    return _raw(*square_bounds(a.lo, a.hi))
 
 
 def sqrt_outer(a: Interval) -> Interval:
     """Enclosure of { sqrt(x) : x in a, x >= 0 }; empty if a is negative."""
     if a.lo > a.hi or a.hi < 0.0:
         return EMPTY
-    lo = max(a.lo, 0.0)
-    return _mk(sqrt_down(lo), sqrt_up(a.hi))
+    return _raw(*sqrt_bounds(a.lo, a.hi))

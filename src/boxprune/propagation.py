@@ -8,6 +8,12 @@ schedule, the order in which the loop visits constraints, and they land on
 the same box: each contractor is shrinking, order-preserving, and
 idempotent, which makes the common fixpoint unique for a given start box.
 
+The loop works on the system as compiled by Csp: it reads the box once
+into two float lists, the lower and upper bounds of every variable in slot
+order, applies each constraint's float-level kernel to them in place,
+tells the schedule which slots shrank, and builds the fixpoint Box once at
+the end.
+
 Every engine raises RuntimeError once it has spent ``max_steps``
 applications short of the fixpoint.  A correct system can hit that budget:
 near a double root propagation converges only linearly.
@@ -22,9 +28,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .boxes import Box
-from .contractors import Constraint, TraceRecord, apply_lifted, big_gamma
+from .boxes import Box, empty_box
+# apply_lifted is not called here; it stays a name of this module because
+# perfbench/tracing.py hooks it
+from .contractors import Constraint, TraceRecord, apply_lifted, big_gamma  # noqa: F401
 from .decompose import Csp
+from .interval import EMPTY, Interval, _raw
 
 __all__ = [
     "Status",
@@ -61,12 +70,11 @@ class PropagationOutcome:
 
 Engine = Callable[..., PropagationOutcome]
 
-# A schedule yields the next constraint to apply, is sent the variables
-# that application shrank (in the constraint's own variable order), and
-# returns once every constraint is known to be at its fixpoint.  Schedules
-# track constraints by id, which Csp guarantees is the position in
-# csp.constraints.
-Schedule = Generator[Constraint, tuple[str, ...], None]
+# A schedule yields the id of the next constraint to apply, is sent the
+# slots that application shrank (in the constraint's first-occurrence
+# variable order), and returns once every constraint is known to be at its
+# fixpoint.  Csp guarantees that an id is the constraint's position.
+Schedule = Generator[int, tuple[int, ...], None]
 
 _DEFAULT_MAX_STEPS = 1_000_000
 
@@ -75,19 +83,19 @@ def _sweeps(csp: Csp) -> Schedule:
     changed = True
     while changed:
         changed = False
-        for con in csp.constraints:
-            if (yield con):
+        for cid in range(len(csp.constraints)):
+            if (yield cid):
                 changed = True
 
 
 def _fifo(csp: Csp) -> Schedule:
-    constraints, watchers = csp.constraints, csp.watchers
-    queue = deque(range(len(constraints)))
+    watchers = csp.watchers
+    queue = deque(range(len(csp.constraints)))
     queued = set(queue)
     while queue:
         cid = queue.popleft()
         queued.discard(cid)
-        for v in (yield constraints[cid]):
+        for v in (yield cid):
             for watcher in watchers[v]:
                 if watcher not in queued:
                     queue.append(watcher)
@@ -96,12 +104,12 @@ def _fifo(csp: Csp) -> Schedule:
 
 def _uniform(csp: Csp, seed: int) -> Schedule:
     rng = random.Random(seed)
-    constraints, watchers = csp.constraints, csp.watchers
-    unstable = set(range(len(constraints)))
+    watchers = csp.watchers
+    unstable = set(range(len(csp.constraints)))
     while unstable:
         pool = sorted(unstable)
         cid = pool[rng.randrange(len(pool))]
-        for v in (yield constraints[cid]):
+        for v in (yield cid):
             unstable.update(watchers[v])
         # either way the applied constraint sits at its own fixpoint now
         unstable.discard(cid)
@@ -109,8 +117,7 @@ def _uniform(csp: Csp, seed: int) -> Schedule:
 
 # A traced run builds one record per application, and the frozen
 # dataclass's generated __init__ pays a checked __setattr__ per field, so
-# records are filled through their slot descriptors instead.  The loops
-# below avoid comprehensions, which cost a call each on these tiny scopes.
+# records are filled through their slot descriptors instead.
 _new = object.__new__
 _adopt = Box._from_sorted
 _set_cid, _set_kind, _set_before, _set_after, _set_changed = (
@@ -118,60 +125,80 @@ _set_cid, _set_kind, _set_before, _set_after, _set_changed = (
 )
 
 
-def _record(con, before: Box, after: Box) -> TraceRecord:
-    bivs, aivs = before._ivs, after._ivs
-    pre_ivs: dict = {}
-    post_ivs: dict = {}
-    for v in sorted(con.variables):
-        pre_ivs[v] = bivs[v]
-        post_ivs[v] = aivs[v]
-    pre = _adopt(pre_ivs)
-    post = pre if after is before else _adopt(post_ivs)
+def _slice(names: tuple[str, ...], slots: tuple[int, ...], ivs: list[Interval]) -> Box:
+    sliced = {}
+    for s in slots:
+        sliced[names[s]] = ivs[s]
+    return _adopt(sliced)
+
+
+def _record(con: Constraint, before: Box, after: Box) -> TraceRecord:
     rec = _new(TraceRecord)
     _set_cid(rec, con.cid)
     _set_kind(rec, con.kind)
-    _set_before(rec, pre)
-    _set_after(rec, post)
-    _set_changed(rec, post is not pre)
+    _set_before(rec, before)
+    _set_after(rec, after)
+    _set_changed(rec, after is not before)
     return rec
 
 
 def _propagate(csp: Csp, box: Box, schedule: Schedule, record_trace: bool, max_steps: int) -> PropagationOutcome:
-    if box.scope != csp.variables:
+    # a box keeps its components in name order
+    if box.names != csp.names:
         missing = sorted(csp.variables - box.scope)
         extra = sorted(box.scope - csp.variables)
         raise ValueError(f"box scope does not match the CSP's variables (missing {missing}, extra {extra})")
     trace: list[TraceRecord] = []
     steps = effective = 0
     if not box.is_empty and csp.constraints:
-        shrunk: tuple[str, ...] | None = None
+        # name order is slot order
+        ivs = list(box._ivs.values())
+        lo = [iv.lo for iv in ivs]
+        hi = [iv.hi for iv in ivs]
+        names, lifted = csp.names, csp.lifted
+        send = schedule.send
+        shrunk: tuple[int, ...] | None = None
+        emptied = False
         while True:
             try:
-                con = schedule.send(shrunk)
+                cid = send(shrunk)
             except StopIteration:
                 break
             if steps >= max_steps:
                 raise RuntimeError(f"propagation exceeded its budget of {max_steps} contractor applications")
-            after = apply_lifted(con, box)
             steps += 1
+            kernel, args, value, shrinks, sorted_slots = lifted[cid]
             if record_trace:
-                trace.append(_record(con, box, after))
-            # apply_lifted returns the input box object itself exactly when
-            # nothing shrank, and a shrunk box keeps the objects of its
-            # untouched components, so identity decides change
-            if after is box:
+                before = _slice(names, sorted_slots, ivs)
+            m = kernel(lo, hi, args, value)
+            if record_trace:
+                # a traced run keeps ivs current, so records share the
+                # Interval objects of components that did not move
+                if m == 0:
+                    after = before
+                elif m < 0:
+                    after = _adopt(dict.fromkeys(before._ivs, EMPTY))
+                else:
+                    for s in shrinks[m]:
+                        ivs[s] = _raw(lo[s], hi[s])
+                    after = _slice(names, sorted_slots, ivs)
+                trace.append(_record(csp.constraints[cid], before, after))
+            if m == 0:
                 shrunk = ()
-            else:
-                effective += 1
-                aivs, bivs = after._ivs, box._ivs
-                changed = []
-                for v in con.variables:
-                    if aivs[v] is not bivs[v]:
-                        changed.append(v)
-                shrunk = tuple(changed)
-                box = after
-                if box.is_empty:
-                    break
+                continue
+            effective += 1
+            if m < 0:
+                emptied = True
+                break
+            shrunk = shrinks[m]
+        if emptied:
+            box = empty_box(names)
+        elif effective:
+            # untouched components keep their Interval objects
+            fixed = {}
+            for name, iv, low, high in zip(names, ivs, lo, hi):
+                fixed[name] = iv if low == iv.lo and high == iv.hi else _raw(low, high)
+            box = _adopt(fixed)
     return PropagationOutcome(
         fixpoint=box,
         status=Status.PROVED_EMPTY if box.is_empty else Status.FEASIBLE_UNKNOWN,

@@ -252,7 +252,8 @@ def test_duplicate_declarations_rejected_by_decompose():
 
 def test_var_index_on_quartic():
     csp = compile_problem(QUARTIC_UNIT)
-    idx = csp.watchers
+    assert csp.names == ("_t0", "_t1", "x", "y")
+    idx = dict(zip(csp.names, csp.watchers))
     assert idx["y"] == (0, 1, 2)
     assert idx["x"] == (0,)
     assert idx["_t0"] == (1, 2)
@@ -261,12 +262,24 @@ def test_var_index_on_quartic():
 
 def test_var_index_unconstrained_variable():
     csp = make_csp([Constraint("const", ("a",), cid=0, value=1.0)], {"a": FULL, "b": FULL})
-    assert csp.watchers["b"] == ()
+    assert csp.names == ("a", "b")
+    assert csp.watchers[1] == ()
 
 
 def test_var_index_repeated_argument_counted_once():
     csp = make_csp([Constraint("sq", ("x", "x"), cid=0)], {"x": FULL})
-    assert csp.watchers["x"] == (0,)
+    assert csp.watchers == ((0,),)
+
+
+def test_csp_compiles_constraints_against_name_order_slots():
+    csp = make_csp([Constraint("mul", ("y", "x", "y"), cid=0)], {"z": FULL, "y": FULL, "x": FULL})
+    assert csp.names == ("x", "y", "z")
+    assert csp.watchers == ((0,), (0,), ())
+    (lifted,) = csp.lifted
+    assert lifted.args == (1, 0, 1)
+    assert lifted.sorted_slots == (0, 1)
+    # change masks index the first-occurrence variables (y, x)
+    assert lifted.shrunk == ((), (1,), (0,), (1, 0))
 
 
 def test_csp_rejects_ids_out_of_tuple_order():

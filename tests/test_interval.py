@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from boxprune import EMPTY, FULL, Interval
 from boxprune.interval import (
+    _div_is_exact,
     add,
     add_down,
     add_up,
@@ -238,6 +239,52 @@ def test_infinity_conventions():
     assert div_down(INF, 2.0) == INF
     assert div_down(INF, -2.0) == -INF
     assert sqrt_down(INF) == INF
+
+
+
+def _exactness_operand(rng: random.Random) -> float:
+    """A finite float from the edges of _div_is_exact's float-only window,
+    the subnormals, or the ordinary range, with short or full mantissas."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        mag = rng.choice([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-290, 1e-250, 1e250, 1e300, MAX])
+        mag *= rng.choice([0.5, 1.0, 1.0, 2.0, 3.0, 1.0 + 2.0**-52])
+    elif kind == 1:
+        mag = math.ldexp(rng.random(), rng.randint(-1074, 1024))
+    elif kind == 2:
+        mag = math.ldexp(rng.randint(1, 2**12), rng.randint(-1080, 1010))
+    elif kind == 3:
+        mag = math.ldexp(rng.random(), rng.randint(-900, -800) if rng.random() < 0.5 else rng.randint(800, 1000))
+    else:
+        mag = rng.uniform(0.0, 16.0)
+    if math.isinf(mag):
+        mag = MAX
+    return mag if rng.random() < 0.5 else -mag
+
+
+def test_division_exactness_matches_rational_arithmetic():
+    # _div_is_exact decides r == n/d from floats inside Dekker's window and
+    # from integer ratios outside it; the rational test is the reference
+    rng = random.Random(20260418)
+    outcomes = set()
+    checked = 0
+    while checked < 20000:
+        n = _exactness_operand(rng)
+        d = _exactness_operand(rng)
+        if rng.random() < 0.25:
+            # a product with a short mantissa makes n/d exact more often
+            r = float(rng.randint(-2**20, 2**20)) * 2.0 ** rng.randint(-60, 60)
+            n = r * d
+        if d == 0.0 or not math.isfinite(n):
+            continue
+        r = n / d
+        if not math.isfinite(r):
+            continue
+        want = Fraction(r) * Fraction(d) == Fraction(n)
+        assert _div_is_exact(n, d, r) == want, (n.hex(), d.hex())
+        outcomes.add(want)
+        checked += 1
+    assert outcomes == {True, False}
 
 
 # Interval arithmetic.
