@@ -1,13 +1,14 @@
 """Closed intervals over the extended reals with outward-rounded arithmetic.
 
 Every arithmetic operation returns an interval that encloses the exact
-real image of its operands.  Bounds are computed in round-to-nearest and
-then stepped one ulp outward, but only when the float operation was
-inexact; exactly representable results keep their bit pattern.  Inexactness
-is detected with error-free transforms (TwoSum, Dekker's two-product) or
-exact integer-ratio comparisons, so the widening is directed rounding, not
-a blanket slop.  One exception: a product or quotient that underflows to
-zero is stepped one subnormal outward even when zero itself would bound it.
+real image of its operands.  Each bound is the nearest float on its side
+of the exact value: the round-to-nearest result when the exact value lies
+on its inward side, and its neighbour one ulp outward otherwise.  The
+sign of the rounding error comes from error-free transforms (TwoSum,
+Dekker's two-product) or, outside the exponent window where those are
+exact, from integer-ratio comparisons.  Exactly representable results
+therefore keep their bit pattern, and since correct rounding is monotone,
+so is every operation.
 
 Infinite bounds are open: ``contains([0, inf], inf)`` is false.  An interval
 whose lower bound would exceed its upper bound is the empty set, represented
@@ -192,23 +193,41 @@ FULL = Interval(-_INF, _INF)
 
 # Bound-level directed rounding.
 #
-# Each helper computes one endpoint: *_down yields a float <= the exact
-# result, *_up a float >= it.  Indeterminate infinity combinations resolve
-# to the enclosing infinity for the direction being computed (-inf for a
-# lower bound, +inf for an upper bound), and 0 * inf is 0, the convention
-# interval multiplication needs.
+# Each helper computes one endpoint, correctly rounded: *_down yields the
+# greatest float <= the exact result, *_up the least float >= it.  Rounding
+# to nearest gives a float r within half an ulp of the exact value, so r is
+# one of the two and its neighbour outward is the other; the sign of the
+# exact error (exact - r) picks which.  Indeterminate infinity combinations
+# resolve to the enclosing infinity for the direction being computed (-inf
+# for a lower bound, +inf for an upper bound), and 0 * inf is 0, the
+# convention interval multiplication needs.  Correct rounding is monotone,
+# so every operation built on these helpers is monotone in its operands.
 
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
 
 
+def _sum_sign(x: float, y: float, r: float) -> int:
+    """Sign of the exact x + y - r, for finite x, y and r = x + y rounded."""
+    # TwoSum recovers that error exactly; its r - x overflows (and the
+    # error reads NaN) only when |y| is within an ulp of the largest float
+    t = r - x
+    err = (x - (r - t)) + (y - t)
+    if err == err:
+        return (err > 0.0) - (err < 0.0)
+    nx, dx = x.as_integer_ratio()
+    ny, dy = y.as_integer_ratio()
+    nr, dr = r.as_integer_ratio()
+    lhs = (nx * dy + ny * dx) * dr
+    rhs = nr * dx * dy
+    return (lhs > rhs) - (lhs < rhs)
+
+
 def add_down(x: float, y: float) -> float:
     r = x + y
     if -_INF < r < _INF:
-        # both operands finite; the TwoSum error term is zero iff r equals
-        # x + y exactly
-        t = r - x
-        return r if (x - (r - t)) + (y - t) == 0.0 else _next(r, -_INF)
+        # both operands finite
+        return _next(r, -_INF) if _sum_sign(x, y, r) < 0 else r
     if x == -_INF or y == -_INF:
         return -_INF
     if x == _INF or y == _INF:
@@ -219,8 +238,7 @@ def add_down(x: float, y: float) -> float:
 def add_up(x: float, y: float) -> float:
     r = x + y
     if -_INF < r < _INF:
-        t = r - x
-        return r if (x - (r - t)) + (y - t) == 0.0 else _next(r, _INF)
+        return _next(r, _INF) if _sum_sign(x, y, r) > 0 else r
     if x == _INF or y == _INF:
         return _INF
     if x == -_INF or y == -_INF:
@@ -236,75 +254,82 @@ def sub_up(x: float, y: float) -> float:
     return add_up(x, -y)
 
 
-def _mul_both(x: float, y: float) -> tuple[float, float]:
-    # (mul_down(x, y), mul_up(x, y)) from one product and one exactness test
-    if x == 0.0 or y == 0.0:
-        return 0.0, 0.0
-    r = x * y
-    if -_INF < r < _INF:
-        # Inside a comfortable exponent window Dekker's two-product recovers
-        # the rounding error x * y - r exactly (nothing can over- or
-        # underflow there), so the error is zero iff the product was exact.
-        # Outside the window fall back to exact rational arithmetic.
-        if 1e-250 < abs(x) < 1e250 and 1e-250 < abs(y) < 1e250 and 1e-290 < abs(r) < 1e300:
-            cx = _SPLIT * x
-            hx = cx - (cx - x)
-            lx = x - hx
-            cy = _SPLIT * y
-            hy = cy - (cy - y)
-            ly = y - hy
-            exact = ((hx * hy - r) + hx * ly + lx * hy) + lx * ly == 0.0
-        else:
-            nx, dx = x.as_integer_ratio()
-            ny, dy = y.as_integer_ratio()
-            nr, dr = r.as_integer_ratio()
-            exact = nx * ny * dr == nr * dx * dy
-        if exact:
-            return r, r
-        return _next(r, -_INF), _next(r, _INF)
-    if x == _INF or x == -_INF or y == _INF or y == -_INF:
-        return r, r
-    # finite operands whose product overflowed
-    return (_MAX, _INF) if r == _INF else (-_INF, -_MAX)
+def _prod_sign(x: float, y: float, z: float) -> int:
+    """Sign of the exact x*y - z, for finite x, y and z.
+
+    Rounding to nearest is monotone, so a rounded product p that differs
+    from z lies on the same side of z as the exact product.  When p == z the
+    sign is that of the rounding error x*y - p.  Dekker's two-product holds
+    that error exactly when nothing over- or underflows, which the window
+    |x|, |y| < 1e150 and |p| > 1e-50 ensures: the splits stay below 1e159,
+    the partial products below 1.1e300, and the lowest bit of each partial
+    product is at least ulp(x) * ulp(y) >= |x*y| * 2**-106 > 1e-82.
+    Outside the window exact rationals decide.
+    """
+    p = x * y
+    if p != z:
+        return 1 if p > z else -1
+    if 1e-100 < p * p and x * x + y * y < 1e300:
+        cx = _SPLIT * x
+        hx = cx - (cx - x)
+        lx = x - hx
+        cy = _SPLIT * y
+        hy = cy - (cy - y)
+        ly = y - hy
+        err = ((hx * hy - p) + hx * ly + lx * hy) + lx * ly
+        return (err > 0.0) - (err < 0.0)
+    nx, dx = x.as_integer_ratio()
+    ny, dy = y.as_integer_ratio()
+    nz, dz = z.as_integer_ratio()
+    lhs = nx * ny * dz
+    rhs = nz * dx * dy
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def mul_down(x: float, y: float) -> float:
-    return _mul_both(x, y)[0]
+    if x == 0.0 or y == 0.0:
+        return 0.0
+    r = x * y
+    if -_INF < r < _INF:
+        return _next(r, -_INF) if _prod_sign(x, y, r) < 0 else r
+    if x == _INF or x == -_INF or y == _INF or y == -_INF:
+        return r
+    # finite operands whose product overflowed
+    return _MAX if r == _INF else -_INF
 
 
 def mul_up(x: float, y: float) -> float:
-    return _mul_both(x, y)[1]
+    if x == 0.0 or y == 0.0:
+        return 0.0
+    r = x * y
+    if -_INF < r < _INF:
+        return _next(r, _INF) if _prod_sign(x, y, r) > 0 else r
+    if x == _INF or x == -_INF or y == _INF or y == -_INF:
+        return r
+    return -_MAX if r == -_INF else _INF
 
 
 def _sq_down(x: float) -> float:
-    # mul_down(x, x).  A square inside the exponent window implies an
-    # operand inside it too, so Dekker's test applies with one split.
+    # mul_down(x, x).  A square inside Dekker's window implies an operand
+    # inside it too, so the error term needs only one split.
     r = x * x
-    if 1e-290 < r < 1e300:
+    if 1e-50 < r < 1e300:
         c = _SPLIT * x
         h = c - (c - x)
         lo = x - h
-        return r if ((h * h - r) + h * lo + lo * h) + lo * lo == 0.0 else _next(r, -_INF)
+        return _next(r, -_INF) if ((h * h - r) + h * lo + lo * h) + lo * lo < 0.0 else r
     return mul_down(x, x)
 
 
 def _sq_up(x: float) -> float:
     # mul_up(x, x), as _sq_down
     r = x * x
-    if 1e-290 < r < 1e300:
+    if 1e-50 < r < 1e300:
         c = _SPLIT * x
         h = c - (c - x)
         lo = x - h
-        return r if ((h * h - r) + h * lo + lo * h) + lo * lo == 0.0 else _next(r, _INF)
+        return _next(r, _INF) if ((h * h - r) + h * lo + lo * h) + lo * lo > 0.0 else r
     return mul_up(x, x)
-
-
-def _div_is_exact(n: float, d: float, r: float) -> bool:
-    # r == n/d exactly iff r*d == n exactly, that is iff r*d rounded down
-    # and rounded up both give n; _mul_both decides the product's exactness
-    # with floats inside Dekker's window and with rationals outside it
-    down, up = _mul_both(r, d)
-    return down == n == up
 
 
 def div_down(n: float, d: float) -> float:
@@ -323,7 +348,9 @@ def div_down(n: float, d: float) -> float:
         return _MAX
     if r == -_INF:
         return -_INF
-    return r if _div_is_exact(n, d, r) else _next(r, -_INF)
+    # r - n/d has the sign of (r*d - n) * d
+    s = _prod_sign(r, d, n)
+    return _next(r, -_INF) if (s > 0 if d > 0.0 else s < 0) else r
 
 
 def div_up(n: float, d: float) -> float:
@@ -336,31 +363,8 @@ def div_up(n: float, d: float) -> float:
         return -_MAX
     if r == _INF:
         return _INF
-    return r if _div_is_exact(n, d, r) else _next(r, _INF)
-
-
-def _sqrt_cmp(r: float, x: float) -> int:
-    # sign of r*r - x in exact arithmetic (finite nonneg operands).  When
-    # the rounded product already differs from x the float comparison gives
-    # the true sign, since rounding to nearest moves r*r by less than the
-    # gap separating two floats.  In a tie x is the rounded product, so
-    # Dekker's error term (see _mul_both) has the sign of r*r - x.
-    t = r * r
-    if t > x:
-        return 1
-    if t < x:
-        return -1
-    if 1e-250 < r < 1e250 and 1e-290 < x < 1e300:
-        c = _SPLIT * r
-        h = c - (c - r)
-        lo = r - h
-        err = ((h * h - x) + h * lo + lo * h) + lo * lo
-        return (err > 0.0) - (err < 0.0)
-    nr, dr = r.as_integer_ratio()
-    nx, dx = x.as_integer_ratio()
-    lhs = nr * nr * dx
-    rhs = nx * dr * dr
-    return (lhs > rhs) - (lhs < rhs)
+    s = _prod_sign(r, d, n)
+    return _next(r, _INF) if (s < 0 if d > 0.0 else s > 0) else r
 
 
 def sqrt_down(x: float) -> float:
@@ -369,7 +373,7 @@ def sqrt_down(x: float) -> float:
     if x == _INF:
         return _INF
     r = math.sqrt(x)
-    return r if _sqrt_cmp(r, x) <= 0 else _next(r, -_INF)
+    return _next(r, -_INF) if _prod_sign(r, r, x) > 0 else r
 
 
 def sqrt_up(x: float) -> float:
@@ -378,7 +382,7 @@ def sqrt_up(x: float) -> float:
     if x == _INF:
         return _INF
     r = math.sqrt(x)
-    return r if _sqrt_cmp(r, x) >= 0 else _next(r, _INF)
+    return _next(r, _INF) if _prod_sign(r, r, x) < 0 else r
 
 
 # Interval arithmetic on bounds.
@@ -393,30 +397,89 @@ def sqrt_up(x: float) -> float:
 
 
 def add_bounds(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
-    return add_down(al, bl) + 0.0, add_up(ah, bh) + 0.0
+    # add_down(al, bl), add_up(ah, bh), with TwoSum inline for finite sums;
+    # a NaN error term (see _sum_sign) goes the long way
+    lo = al + bl
+    if -_INF < lo < _INF:
+        t = lo - al
+        err = (al - (lo - t)) + (bl - t)
+        if err < 0.0:
+            lo = _next(lo, -_INF)
+        elif err != err:
+            lo = add_down(al, bl)
+    else:
+        lo = add_down(al, bl)
+    hi = ah + bh
+    if -_INF < hi < _INF:
+        t = hi - ah
+        err = (ah - (hi - t)) + (bh - t)
+        if err > 0.0:
+            hi = _next(hi, _INF)
+        elif err != err:
+            hi = add_up(ah, bh)
+    else:
+        hi = add_up(ah, bh)
+    return lo + 0.0, hi + 0.0
 
 
 def sub_bounds(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
-    return add_down(al, -bh) + 0.0, add_up(ah, -bl) + 0.0
+    # sub_down(al, bh), sub_up(ah, bl), as add_bounds: TwoSum of a and -b,
+    # whose last term -b - t is -(b + t) exactly
+    lo = al - bh
+    if -_INF < lo < _INF:
+        t = lo - al
+        err = (al - (lo - t)) - (bh + t)
+        if err < 0.0:
+            lo = _next(lo, -_INF)
+        elif err != err:
+            lo = add_down(al, -bh)
+    else:
+        lo = add_down(al, -bh)
+    hi = ah - bl
+    if -_INF < hi < _INF:
+        t = hi - ah
+        err = (ah - (hi - t)) - (bl + t)
+        if err > 0.0:
+            hi = _next(hi, _INF)
+        elif err != err:
+            hi = add_up(ah, -bl)
+    else:
+        hi = add_up(ah, -bl)
+    return lo + 0.0, hi + 0.0
 
 
 def mul_bounds(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
-    # the four corner products, each rounded both ways; ties between zeros
-    # of either sign do not matter once the result is normalized
-    d1, u1 = _mul_both(al, bl)
-    d2, u2 = _mul_both(al, bh)
-    d3, u3 = _mul_both(ah, bl)
-    d4, u4 = _mul_both(ah, bh)
-    lo = d1 if d1 < d2 else d2
-    if d3 < lo:
-        lo = d3
-    if d4 < lo:
-        lo = d4
-    hi = u1 if u1 > u2 else u2
-    if u3 > hi:
-        hi = u3
-    if u4 > hi:
-        hi = u4
+    # The operand signs say which corner products are extreme (the nine-case
+    # table), so each bound rounds one product in one direction; only two
+    # intervals that both straddle zero compare two candidates per bound.
+    # A zero-width [0, 0] operand takes the nonnegative row.
+    if al >= 0.0:
+        if bl >= 0.0:
+            lo, hi = mul_down(al, bl), mul_up(ah, bh)
+        elif bh <= 0.0:
+            lo, hi = mul_down(ah, bl), mul_up(al, bh)
+        else:
+            lo, hi = mul_down(ah, bl), mul_up(ah, bh)
+    elif ah <= 0.0:
+        if bl >= 0.0:
+            lo, hi = mul_down(al, bh), mul_up(ah, bl)
+        elif bh <= 0.0:
+            lo, hi = mul_down(ah, bh), mul_up(al, bl)
+        else:
+            lo, hi = mul_down(al, bh), mul_up(al, bl)
+    elif bl >= 0.0:
+        lo, hi = mul_down(al, bh), mul_up(ah, bh)
+    elif bh <= 0.0:
+        lo, hi = mul_down(ah, bl), mul_up(al, bl)
+    else:
+        lo = mul_down(al, bh)
+        t = mul_down(ah, bl)
+        if t < lo:
+            lo = t
+        hi = mul_up(al, bl)
+        t = mul_up(ah, bh)
+        if t > hi:
+            hi = t
     return lo + 0.0, hi + 0.0
 
 

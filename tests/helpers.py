@@ -7,6 +7,7 @@ test_oracle re-derives them so any drift in the oracle would be caught.
 
 from __future__ import annotations
 
+import math
 import random
 
 from boxprune import (
@@ -146,6 +147,15 @@ def widen_interval(rng: random.Random, iv: Interval) -> Interval:
     return Interval(lo, hi)
 
 
+def nudge_inward(iv: Interval) -> Interval:
+    """iv with each bound moved one ulp inward, so that iv is its one-ulp
+    outward widening; a point or empty interval is returned as is."""
+    if iv.is_empty:
+        return iv
+    lo, hi = math.nextafter(iv.lo, math.inf), math.nextafter(iv.hi, -math.inf)
+    return Interval(lo, hi) if lo <= hi else iv
+
+
 def random_instance(rng: random.Random, kind: str):
     if kind == "sum" or kind == "mul":
         return (random_interval(rng), random_interval(rng), random_interval(rng))
@@ -200,7 +210,8 @@ def sample_relation_points(rng: random.Random, kind: str, ivs, tries: int):
 
 
 def check_contractor_laws(rng: random.Random, kind: str, instances: int, point_tries: int) -> int:
-    """Idempotence, contraction, monotonicity, correctness on random boxes.
+    """Idempotence, contraction, monotonicity (by dyadic slack and by one
+    ulp), correctness on random boxes.
 
     Returns the number of exact relation points whose membership in the
     contracted box was verified.
@@ -224,6 +235,18 @@ def check_contractor_laws(rng: random.Random, kind: str, instances: int, point_t
         assert all(
             small.is_subset(big) for small, big in zip(once, bigger)
         ), f"{kind} not monotonic on {inst} vs {wide}"
+        # monotone at ulp scale too: the instance is a one-ulp widening of
+        # the instance with one argument nudged inward, so contracting the
+        # nudged instance gives a subset of `once`.  The dyadic instances
+        # make most bounds exact, and the nudged ones inexact, so rounding
+        # alone decides this comparison.
+        for k, iv in enumerate(ins):
+            nudged = list(ins)
+            nudged[k] = nudge_inward(iv)
+            smaller = contract(kind, (inst[0], *nudged) if kind == "const" else tuple(nudged))
+            assert all(
+                small.is_subset(big) for small, big in zip(smaller, once)
+            ), f"{kind} not monotonic at ulp scale on {inst}, argument {k}"
 
         for point in sample_relation_points(rng, kind, inst, point_tries):
             assert all(

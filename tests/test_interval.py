@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from boxprune import EMPTY, FULL, Interval
 from boxprune.interval import (
-    _div_is_exact,
+    _sq_down,
+    _sq_up,
     add,
     add_down,
     add_up,
@@ -181,9 +182,10 @@ def test_str_rendering():
     assert str(Interval(0.0, INF)) == "[0.0,inf]"
 
 
-# Directed bound arithmetic: exact results keep their bits, inexact ones
-# are widened strictly outward, overflow saturates to the largest finite
-# float on the inward side.
+# Directed bound arithmetic: every bound is the nearest float on its side of
+# the exact result, so exact results keep their bits, inexact ones lie one
+# ulp apart, and overflow saturates to the largest finite float on the
+# inward side.
 
 
 def test_exact_results_not_widened():
@@ -202,10 +204,11 @@ def test_inexact_results_strictly_bracket():
     tenth_sum = Fraction(1, 10) + Fraction(1, 5)
     lo, hi = add_down(0.1, 0.2), add_up(0.1, 0.2)
     assert Fraction(lo) < tenth_sum < Fraction(hi)
-    assert hi == math.nextafter(lo, INF) or hi == math.nextafter(math.nextafter(lo, INF), INF)
+    assert hi == math.nextafter(lo, INF)
 
     third = Fraction(1, 3)
     assert Fraction(div_down(1.0, 3.0)) < third < Fraction(div_up(1.0, 3.0))
+    assert div_up(1.0, 3.0) == math.nextafter(div_down(1.0, 3.0), INF)
 
     two = Fraction(2)
     assert Fraction(sqrt_down(2.0)) ** 2 < two < Fraction(sqrt_up(2.0)) ** 2
@@ -243,8 +246,8 @@ def test_infinity_conventions():
 
 
 def _exactness_operand(rng: random.Random) -> float:
-    """A finite float from the edges of _div_is_exact's float-only window,
-    the subnormals, or the ordinary range, with short or full mantissas."""
+    """A finite float from the edges of Dekker's exponent window, the
+    subnormals, or the ordinary range, with short or full mantissas."""
     kind = rng.randrange(5)
     if kind == 0:
         mag = rng.choice([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-290, 1e-250, 1e250, 1e300, MAX])
@@ -262,29 +265,56 @@ def _exactness_operand(rng: random.Random) -> float:
     return mag if rng.random() < 0.5 else -mag
 
 
-def test_division_exactness_matches_rational_arithmetic():
-    # _div_is_exact decides r == n/d from floats inside Dekker's window and
-    # from integer ratios outside it; the rational test is the reference
+def _is_rounded_down(got: float, exact: Fraction) -> bool:
+    """got is the greatest float <= exact (-inf below the float range)."""
+    if got == -INF:
+        return exact < -Fraction(MAX)
+    above = math.nextafter(got, INF)
+    return Fraction(got) <= exact and (above == INF or exact < Fraction(above))
+
+
+def _is_rounded_up(got: float, exact: Fraction) -> bool:
+    """got is the least float >= exact (+inf above the float range)."""
+    return _is_rounded_down(-got, -exact)
+
+
+def test_bounds_are_correctly_rounded():
+    # every *_down/*_up helper against exact rational arithmetic, over
+    # zeros, subnormals, the edges of Dekker's window, float max, overflow
+    # and short mantissas (which make many results exact)
     rng = random.Random(20260418)
-    outcomes = set()
-    checked = 0
+    exact_seen = inexact_seen = checked = 0
     while checked < 20000:
-        n = _exactness_operand(rng)
-        d = _exactness_operand(rng)
+        x = _exactness_operand(rng)
+        y = _exactness_operand(rng)
         if rng.random() < 0.25:
-            # a product with a short mantissa makes n/d exact more often
-            r = float(rng.randint(-2**20, 2**20)) * 2.0 ** rng.randint(-60, 60)
-            n = r * d
-        if d == 0.0 or not math.isfinite(n):
-            continue
-        r = n / d
-        if not math.isfinite(r):
-            continue
-        want = Fraction(r) * Fraction(d) == Fraction(n)
-        assert _div_is_exact(n, d, r) == want, (n.hex(), d.hex())
-        outcomes.add(want)
+            # a short-mantissa multiple of y makes x / y exact more often
+            x = float(rng.randint(-2**20, 2**20)) * 2.0 ** rng.randint(-60, 60) * y
+            if math.isinf(x):
+                continue
         checked += 1
-    assert outcomes == {True, False}
+        fx, fy = Fraction(x), Fraction(y)
+        rows = [("add", add_down(x, y), add_up(x, y), fx + fy),
+                ("sub", sub_down(x, y), sub_up(x, y), fx - fy),
+                ("mul", mul_down(x, y), mul_up(x, y), fx * fy),
+                ("sq", _sq_down(x), _sq_up(x), fx * fx)]
+        if y != 0.0:
+            rows.append(("div", div_down(x, y), div_up(x, y), fx / fy))
+        for name, lo, hi, exact in rows:
+            assert _is_rounded_down(lo, exact), (name, "down", x.hex(), y.hex())
+            assert _is_rounded_up(hi, exact), (name, "up", x.hex(), y.hex())
+            if lo == hi:
+                exact_seen += 1
+            else:
+                inexact_seen += 1
+        # sqrt_down(a) is the greatest float whose square is <= a, and
+        # sqrt_up(a) the least one whose square is >= a
+        a = abs(fx)
+        lo, hi = sqrt_down(abs(x)), sqrt_up(abs(x))
+        assert Fraction(lo) ** 2 <= a < Fraction(math.nextafter(lo, INF)) ** 2, ("sqrt", x.hex())
+        below = Fraction(math.nextafter(hi, -INF))
+        assert a <= Fraction(hi) ** 2 and (hi == 0.0 or below**2 < a), ("sqrt", x.hex())
+    assert exact_seen > 10000 and inexact_seen > 10000
 
 
 # Interval arithmetic.
@@ -312,7 +342,20 @@ def test_square_examples():
 def test_square_spanning_zero_has_exact_zero_floor():
     got = square(Interval(-0.1, 0.3))
     assert got.lo == 0.0
-    assert Fraction(got.hi) >= Fraction(3, 10) ** 2
+    # the float 0.3 lies below 3/10; hi is the least float >= its square
+    exact = Fraction(0.3) ** 2
+    assert Fraction(math.nextafter(got.hi, -INF)) < exact <= Fraction(got.hi)
+
+
+def test_subtraction_is_monotone_at_ulp_scale():
+    # a < b one ulp apart: [3, 3] - [a, b] must enclose [3, 3] - [b, b].
+    # Stepping every inexact result one ulp outward breaks this: 3 - a is
+    # exact, while 3 - b rounds to nearest up onto the same float and is
+    # then stepped up once more, past 3 - a.
+    a = float.fromhex("-0x1.d02b0f8aebfa0p-1")
+    b = float.fromhex("-0x1.d02b0f8aebf9fp-1")
+    three = Interval(3.0, 3.0)
+    assert sub(three, Interval(b, b)).is_subset(sub(three, Interval(a, b)))
 
 
 def test_sqrt_outer_examples():
@@ -346,7 +389,7 @@ def _enclosing(a: float, b: float) -> Interval:
 
 def test_randomized_soundness_and_monotonicity():
     """10^4 random operand pairs: real results stay inside, and widening
-    the operands can only widen the result."""
+    the operands, by 1.0 or by one ulp, can only widen the result."""
     rng = random.Random(20260819)
     for _ in range(10_000):
         x0, x1 = sorted(rng.uniform(-50.0, 50.0) for _ in range(2))
@@ -367,12 +410,15 @@ def test_randomized_soundness_and_monotonicity():
         q = square(ix)
         assert Fraction(q.lo) <= fx * fx <= Fraction(q.hi)
 
-        wx = Interval(x0 - 1.0, x1 + 1.0)
-        wy = Interval(y0 - 1.0, y1 + 1.0)
-        assert s.is_subset(add(wx, wy))
-        assert d.is_subset(sub(wx, wy))
-        assert p.is_subset(mul(wx, wy))
-        assert q.is_subset(square(wx))
+        # widened by 1.0, and one operand by one ulp, where rounding alone
+        # decides the outcome
+        ux = Interval(math.nextafter(x0, -INF), math.nextafter(x1, INF))
+        uy = Interval(math.nextafter(y0, -INF), math.nextafter(y1, INF))
+        for wx, wy in ((Interval(x0 - 1.0, x1 + 1.0), Interval(y0 - 1.0, y1 + 1.0)), (ux, iy), (ix, uy)):
+            assert s.is_subset(add(wx, wy))
+            assert d.is_subset(sub(wx, wy))
+            assert p.is_subset(mul(wx, wy))
+            assert q.is_subset(square(wx))
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e100, max_value=1e100)
