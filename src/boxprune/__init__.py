@@ -7,7 +7,7 @@ All arithmetic is outward-rounded, so emitted enclosures are guaranteed to
 contain every real solution of the input system.
 """
 
-from .boxes import Box, box_hull, empty_box, join_boxes, top_box
+from .boxes import Box, box_hull, empty_box, top_box
 from .contractors import (
     Constraint,
     TraceRecord,
@@ -57,7 +57,6 @@ __all__ = [
     "Box",
     "top_box",
     "empty_box",
-    "join_boxes",
     "box_hull",
     "Constraint",
     "TraceRecord",

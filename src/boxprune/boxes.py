@@ -16,7 +16,7 @@ from .interval import EMPTY, FULL, Interval
 
 VarName = str
 
-__all__ = ["VarName", "Box", "box_hull", "join_boxes", "top_box", "empty_box"]
+__all__ = ["VarName", "Box", "box_hull", "top_box", "empty_box"]
 
 
 class Box:
@@ -137,10 +137,6 @@ def _json_bound(x: float):
     if x == float("-inf"):
         return "-inf"
     return x
-
-
-def join_boxes(a: Box, b: Box) -> Box:
-    return a.join(b)
 
 
 def box_hull(boxes: Iterable[Box]) -> Box:

@@ -1,20 +1,18 @@
 """Contraction operators for the primitive relations sum, mul, sq, const.
 
-Each ``contract_*`` function narrows its argument intervals to a box
-enclosing exactly the tuples of the relation that lie inside the input box,
-discarding no solution (correctness) and never growing an interval
-(contraction).  The narrowing rules are iterated to a local fixpoint inside
-one call, which makes every contractor idempotent bit for bit under
-directed rounding, not just in exact arithmetic.
+Each ``contract_*`` function narrows its argument intervals to the
+smallest box holding the tuples of the relation that lie inside the input
+box, discarding no solution (correctness) and never growing an interval
+(contraction).
 
-The rules live in one float-level kernel per kind, which narrows bounds in
-place on two float lists indexed by variable slot; ``lift`` compiles a
+The rules live in one float-level kernel per relation, which narrows bounds
+in place on two float lists indexed by variable slot; ``lift`` compiles a
 constraint against a slot numbering for the propagation loop.  The
 ``contract_*`` functions and ``apply_lifted`` (a contractor on a full box)
 are thin wrappers that move Interval bounds into and out of those lists.
-A variable repeated across argument positions is narrowed per occurrence
-and the occurrences intersected, iterating until stable, so e.g. sq(x, x)
-narrows x toward the hull of {0, 1}.
+A constraint that repeats a variable denotes another relation over its
+distinct variables, such as x^2 = z for x * x = z, and ``lift`` compiles
+it to that relation's kernel, so each application runs one kernel once.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from functools import partial
 from typing import NamedTuple
 
 from .boxes import Box, empty_box
@@ -93,10 +90,7 @@ class Constraint:
                 raise ValueError("const requires a finite value")
         elif self.value is not None:
             raise ValueError(f"{self.kind} does not take a value")
-        seen: dict[str, None] = {}
-        for a in self.args:
-            seen.setdefault(a)
-        object.__setattr__(self, "variables", tuple(seen))
+        object.__setattr__(self, "variables", tuple(dict.fromkeys(self.args)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,15 +119,15 @@ class TraceRecord:
 
 # Float-level kernels.
 #
-# One kernel per kind narrows its constraint in place on two float lists
-# holding the lower and upper bounds of every variable, at the argument
-# slots `s` (which must be distinct; see _repeated).  It returns -1 when the
-# relation has no point inside the bounds, and the caller then discards the
-# lists; otherwise it returns a mask whose bit i says that argument i
-# shrank.  The narrowing rules run to a local fixpoint inside one call,
-# which makes every kernel idempotent bit for bit under directed rounding,
-# not just in exact arithmetic.  Intersection is inline: a candidate bound
-# replaces the current one only when it is strictly tighter.
+# One kernel per relation narrows it in place on two float lists holding
+# the lower and upper bounds of every variable, at the distinct argument
+# slots `s`.  It returns -1 when the relation has no point inside the
+# bounds, and the caller then discards the lists; otherwise it returns a
+# mask whose bit i says that argument i shrank.  The narrowing rules run to
+# a local fixpoint inside one call, which makes every kernel idempotent bit
+# for bit under directed rounding, not just in exact arithmetic.
+# Intersection is inline: a candidate bound replaces the current one only
+# when it is strictly tighter.
 
 
 def _sum(lo: list[float], hi: list[float], s: tuple[int, ...], _value) -> int:
@@ -275,6 +269,11 @@ def _sq(lo: list[float], hi: list[float], s: tuple[int, ...], _value) -> int:
             break
         xl, xh = pl, ph
         settled = True
+    return _store2(lo, hi, i, j, xl, xh, yl, yh)
+
+
+def _store2(lo, hi, i, j, xl, xh, yl, yh) -> int:
+    # _store3 for two slots
     m = 0
     if xl != lo[i] or xh != hi[i]:
         lo[i] = xl
@@ -287,74 +286,69 @@ def _sq(lo: list[float], hi: list[float], s: tuple[int, ...], _value) -> int:
     return m
 
 
-def _const(lo: list[float], hi: list[float], s: tuple[int, ...], value: float) -> int:
-    """x = value over the slot s = (x,); value is a float without -0.0."""
-    (i,) = s
-    xl, xh = lo[i], hi[i]
-    if value > xl:
-        xl = value
-    if value < xh:
-        xh = value
+def _twice(lo: list[float], hi: list[float], s: tuple[int, ...], _value) -> int:
+    """x + x = z over the slots s = (x, z).  Doubling and halving are exact
+    except on overflow and on halving a subnormal, where mul_bounds rounds
+    outward; 2 * (z / 2) covers z either way, so one pass is the fixpoint."""
+    i, k = s
+    xl, xh, zl, zh = lo[i], hi[i], lo[k], hi[k]
+    a, b = mul_bounds(xl, xh, 2.0, 2.0)
+    if a > zl:
+        zl = a
+    if b < zh:
+        zh = b
+    if zl > zh:
+        return -1
+    a, b = mul_bounds(zl, zh, 0.5, 0.5)
+    if a > xl:
+        xl = a
+    if b < xh:
+        xh = b
     if xl > xh:
         return -1
-    if xl == lo[i] and xh == hi[i]:
+    return _store2(lo, hi, i, k, xl, xh, zl, zh)
+
+
+def _either(lo: list[float], hi: list[float], s: tuple[int, ...], _value) -> int:
+    """x = 0 or y = 1 over the slots s = (x, y), the relation x * y = x;
+    the hull of the two lines inside the box is the box if both meet it."""
+    i, j = s
+    zero = lo[i] <= 0.0 <= hi[i]
+    if zero == (lo[j] <= 1.0 <= hi[j]):
+        return 0 if zero else -1
+    return _const(lo, hi, (i,), (0.0,)) if zero else _const(lo, hi, (j,), (1.0,)) << 1
+
+
+def _const(lo: list[float], hi: list[float], s: tuple[int, ...], value: tuple[float, ...]) -> int:
+    """x in value over the slot s = (x,); value holds ascending finite
+    floats, and like the bounds no -0.0, so the hull is the first and last."""
+    (i,) = s
+    inside = [c for c in value if lo[i] <= c <= hi[i]]
+    if not inside:
+        return -1
+    if inside[0] == lo[i] and inside[-1] == hi[i]:
         return 0
-    lo[i] = xl
-    hi[i] = xh
+    lo[i], hi[i] = inside[0], inside[-1]
     return 1
 
 
 _KERNELS = {"sum": _sum, "mul": _mul, "sq": _sq, "const": _const}
 
 
-def _repeated(kernel, variables, lo, hi, s, value) -> int:
-    # A variable repeated across argument slots couples them, so the kernel
-    # runs on a copy with one position per argument, each occurrence's
-    # result is intersected into the variable, and the kernel is re-run
-    # until no occurrence narrows the variable further.  The mask has one
-    # bit per entry of `variables`, the distinct slots in first-occurrence
-    # order.
-    old_lo = [lo[v] for v in variables]
-    old_hi = [hi[v] for v in variables]
-    positions = tuple(range(len(s)))
-    while True:
-        cl = [lo[a] for a in s]
-        ch = [hi[a] for a in s]
-        m = kernel(cl, ch, positions, value)
-        if m < 0:
-            return -1
-        stepped = False
-        for p, a in enumerate(s):
-            if cl[p] > lo[a]:
-                lo[a] = cl[p]
-                stepped = True
-            if ch[p] < hi[a]:
-                hi[a] = ch[p]
-                stepped = True
-            if lo[a] > hi[a]:
-                return -1
-        if not stepped:
-            break
-    m = 0
-    for b, v in enumerate(variables):
-        if lo[v] != old_lo[b] or hi[v] != old_hi[b]:
-            m |= 1 << b
-    return m
-
-
 class Lifted(NamedTuple):
     """A constraint compiled against integer variable slots.
 
     ``kernel(lo, hi, args, value)`` narrows the constraint in place on the
-    bound lists and returns -1 (infeasible) or a change mask;
-    ``shrunk[mask]`` lists the slots that mask names, in the constraint's
-    first-occurrence variable order.  ``sorted_slots`` holds the
-    constraint's slots in variable-name order, the order of trace records.
+    bound lists and returns -1 (infeasible) or a change mask whose bit b
+    says that slot ``args[b]`` shrank; ``args`` are distinct (see ``lift``),
+    and ``value`` is the tuple of points a ``_const`` kernel allows.
+    ``shrunk[mask]`` lists the slots that mask names.  ``sorted_slots``
+    holds ``args`` in variable-name order, the order of trace records.
     """
 
-    kernel: Callable[[list[float], list[float], tuple[int, ...], float | None], int]
+    kernel: Callable[[list[float], list[float], tuple[int, ...], tuple[float, ...] | None], int]
     args: tuple[int, ...]
-    value: float | None
+    value: tuple[float, ...] | None
     shrunk: tuple[tuple[int, ...], ...]
     sorted_slots: tuple[int, ...]
 
@@ -362,23 +356,34 @@ class Lifted(NamedTuple):
 def lift(con: Constraint, slot: Mapping[str, int]) -> Lifted:
     """Compile `con` against the slot numbering `slot` (variable -> index).
 
-    A slot numbering in name order makes ``sorted_slots`` name-sorted.
+    A constraint that repeats a variable compiles to the kernel of the
+    relation it denotes over its distinct variables.  A slot numbering in
+    name order makes ``sorted_slots`` name-sorted.
     """
     args = tuple(map(slot.__getitem__, con.args))
     kernel = _KERNELS[con.kind]
-    if len(con.variables) == len(args):
-        variables = args
-    else:
-        variables = tuple(map(slot.__getitem__, con.variables))
-        kernel = partial(_repeated, kernel, variables)
     # Interval(c, c) is how the constant enters the relation: a float with
     # -0.0 normalized
-    value = None if con.value is None else float(con.value) + 0.0
-    # bit b of a mask stands for variables[b]
+    value = None if con.value is None else (float(con.value) + 0.0,)
+    if len(con.variables) < len(args):
+        x, y, z = args + args[:1] if con.kind == "sq" else args
+        if x == y == z:
+            # x^2 = x and x * x = x hold at 0 and 1, x + x = x only at 0
+            kernel, args, value = _const, (x,), (0.0,) if con.kind == "sum" else (0.0, 1.0)
+        elif x == y:
+            # x + x = z is z = 2x, and x * x = z is x^2 = z
+            kernel, args = (_twice if con.kind == "sum" else _sq), (x, z)
+        elif con.kind == "sum":
+            # x + y = x is y = 0, and x + y = y is x = 0
+            kernel, args, value = _const, (y if z == x else x,), (0.0,)
+        else:
+            # x * y = x is x = 0 or y = 1, and x * y = y is y = 0 or x = 1
+            kernel, args = _either, ((x, y) if z == x else (y, x))
+    # bit b of a mask stands for args[b]
     shrunk = [()]
-    for v in variables:
+    for v in args:
         shrunk += [t + (v,) for t in shrunk]
-    return Lifted(kernel, args, value, tuple(shrunk), tuple(sorted(variables)))
+    return Lifted(kernel, args, value, tuple(shrunk), tuple(sorted(args)))
 
 
 def _contract(kernel, ivs: tuple[Interval, ...], value=None) -> tuple[Interval, ...]:
@@ -411,7 +416,7 @@ def contract_mul(x: Interval, y: Interval, z: Interval) -> tuple[Interval, Inter
 
 
 def contract_const(c: float, x: Interval) -> Interval:
-    return _contract(_const, (x,), Interval(c, c).lo)[0]
+    return _contract(_const, (x,), (Interval(c, c).lo,))[0]
 
 
 def extdiv_bounds(nl: float, nh: float, dl: float, dh: float) -> tuple[float, float]:
@@ -459,9 +464,9 @@ def apply_lifted(con: Constraint, box: Box) -> Box:
 
     The result has the same scope as the input and is the empty box over
     that scope whenever the constraint is infeasible inside the input.  A
-    variable repeated across argument positions is narrowed per occurrence
-    and the occurrences intersected, iterating until stable, so e.g.
-    sq(x, x) narrows x toward the hull of {0, 1}.
+    constraint that repeats a variable is contracted as the relation it
+    denotes (see ``lift``), so e.g. sq(x, x) narrows x to the hull of the
+    points of {0, 1} inside the box.
     """
     bivs = box._ivs
     try:

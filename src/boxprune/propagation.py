@@ -71,8 +71,8 @@ class PropagationOutcome:
 Engine = Callable[..., PropagationOutcome]
 
 # A schedule yields the id of the next constraint to apply, is sent the
-# slots that application shrank (in the constraint's first-occurrence
-# variable order), and returns once every constraint is known to be at its
+# slots that application shrank (in the order of the compiled constraint's
+# arguments), and returns once every constraint is known to be at its
 # fixpoint.  Csp guarantees that an id is the constraint's position.
 Schedule = Generator[int, tuple[int, ...], None]
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 from boxprune import (
     Box,
@@ -16,10 +17,13 @@ from boxprune import (
     Csp,
     FULL,
     Interval,
+    apply_lifted,
+    box_hull,
     contract_const,
     contract_mul,
     contract_sq,
     contract_sum,
+    empty_box,
 )
 
 # Positive root of x^4 + x^2 = 1, i.e. x = sqrt((sqrt(5) - 1) / 2).
@@ -254,4 +258,132 @@ def check_contractor_laws(rng: random.Random, kind: str, instances: int, point_t
             ), f"{kind} dropped the solution {point} from {inst}"
             points_checked += 1
         assert len(once) == iv_count
+    return points_checked
+
+
+# Laws for constraints that repeat a variable.  Each such constraint
+# denotes another relation over its distinct variables; these are all the
+# patterns the four kinds allow.
+
+REPEATED_PATTERNS = (
+    ("sum", ("x", "x", "x")),
+    ("sum", ("x", "y", "x")),
+    ("sum", ("x", "y", "y")),
+    ("sum", ("x", "x", "z")),
+    ("mul", ("x", "x", "x")),
+    ("mul", ("x", "y", "x")),
+    ("mul", ("x", "y", "y")),
+    ("mul", ("x", "x", "z")),
+    ("sq", ("x", "x")),
+)
+
+
+def holds(kind: str, values) -> bool:
+    """Whether the argument values satisfy the relation; exact for the
+    dyadic grid values."""
+    if kind == "sum":
+        return values[0] + values[1] == values[2]
+    if kind == "mul":
+        return values[0] * values[1] == values[2]
+    return values[0] * values[0] == values[1]
+
+
+def grid_relation_points(kind: str, args, box: Box):
+    """Every assignment of grid values inside `box` to the distinct
+    variables that satisfies the relation."""
+    names = tuple(dict.fromkeys(args))
+    assignments = [{}]
+    for v in names:
+        assignments = [dict(a, **{v: g}) for a in assignments for g in grid_points_in(box[v])]
+    return [a for a in assignments if holds(kind, [a[v] for v in args])]
+
+
+def _root(q: float, up: bool) -> float:
+    # sqrt(q) rounded outward, decided in exact arithmetic
+    r = math.sqrt(q)
+    if math.isinf(r):
+        return r
+    if up:
+        while Fraction(r) ** 2 < Fraction(q):
+            r = math.nextafter(r, math.inf)
+    else:
+        while Fraction(r) ** 2 > Fraction(q):
+            r = math.nextafter(r, -math.inf)
+    return r
+
+
+def repeated_hull(kind: str, args, box: Box) -> Box:
+    """The smallest float box holding every point of the relation inside
+    `box`, for a constraint that repeats a variable.
+
+    Worked out per relation, independently of the contractors; exact for
+    the dyadic boxes random_interval draws, where only square roots are
+    inexact and they are rounded outward in exact arithmetic.
+    """
+    x, y, z = args if len(args) == 3 else (args[0], args[0], args[1])
+    if x == y and x != z:
+        X, Z = box[x], box[z]
+        if kind == "sum":
+            # z = 2x
+            lo, hi = max(X.lo, Z.lo / 2), min(X.hi, Z.hi / 2)
+            if lo > hi:
+                return empty_box(box.names)
+            return box.with_intervals({x: Interval(lo, hi), z: Interval(2 * lo, 2 * hi)})
+        # z = x^2: x lies on the root branch of each sign whose square
+        # range meets Z
+        zl, zh = max(Z.lo, 0.0), Z.hi
+        branches = []
+        lo, hi = max(X.lo, 0.0), X.hi
+        if lo <= hi and lo * lo <= zh and hi * hi >= zl:
+            branches.append(Interval(max(lo, _root(zl, False)), min(hi, _root(zh, True))))
+        lo, hi = X.lo, min(X.hi, 0.0)
+        if lo <= hi and hi * hi <= zh and lo * lo >= zl:
+            branches.append(Interval(max(lo, -_root(zh, True)), min(hi, -_root(zl, False))))
+        if not branches:
+            return empty_box(box.names)
+        m = 0.0 if X.lo <= 0.0 <= X.hi else min(X.lo * X.lo, X.hi * X.hi)
+        squares = Interval(max(Z.lo, m), min(Z.hi, max(X.lo * X.lo, X.hi * X.hi)))
+        xs = branches[0] if len(branches) == 1 else branches[0].hull(branches[1])
+        return box.with_intervals({x: xs, z: squares})
+    # The other relations are unions of pieces that fix some variables to
+    # a point and leave the rest free.
+    if x == y == z:
+        # 2x = x, or x^2 = x
+        pieces = [{x: 0.0}] if kind == "sum" else [{x: 0.0}, {x: 1.0}]
+    else:
+        # z repeats `same`; x + y = x means y = 0 and x * y = x means
+        # x = 0 or y = 1, and symmetrically when z repeats y
+        same, other = (x, y) if z == x else (y, x)
+        pieces = [{other: 0.0}] if kind == "sum" else [{same: 0.0}, {other: 1.0}]
+    parts = [
+        box.with_intervals({v: Interval(c, c) for v, c in piece.items()})
+        for piece in pieces
+        if all(box[v].contains(c) for v, c in piece.items())
+    ]
+    return box_hull(parts) if parts else empty_box(box.names)
+
+
+def check_repeated_laws(rng: random.Random, kind: str, args, instances: int) -> int:
+    """Soundness, idempotence, monotonicity at ulp scale and optimality of
+    apply_lifted on a constraint that repeats a variable, on random boxes.
+
+    Returns the number of exact relation points whose membership in the
+    contracted box was verified.
+    """
+    con = Constraint(kind, args, cid=0)
+    points_checked = 0
+    for _ in range(instances):
+        box = Box({v: random_interval(rng) for v in con.variables})
+        once = apply_lifted(con, box)
+        assert apply_lifted(con, once) == once, f"{kind}{args} not idempotent on {box}"
+        assert box.encloses(once), f"{kind}{args} grew {box}"
+        for v in con.variables:
+            nudged = apply_lifted(con, box.with_intervals({v: nudge_inward(box[v])}))
+            assert once.encloses(nudged), f"{kind}{args} not monotonic at ulp scale on {box}, {v}"
+        for point in grid_relation_points(kind, args, box):
+            assert all(once[v].contains(c) for v, c in point.items()), f"{kind}{args} dropped {point} from {box}"
+            points_checked += 1
+        # optimal: every bound is the outward rounding of a bound of the
+        # exact relation inside the box
+        assert once == repeated_hull(kind, args, box), f"{kind}{args} not optimal on {box}: {once}"
     return points_checked

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from boxprune import EMPTY, FULL, Box, Interval, box_hull, empty_box, join_boxes, top_box
+from boxprune import EMPTY, FULL, Box, Interval, box_hull, empty_box, top_box
 
 INF = math.inf
 
@@ -80,16 +80,15 @@ def test_project_cylinder_round_trip():
 
 
 def test_join_examples():
-    assert join_boxes(
-        Box({"x": Interval(0.0, 2.0)}),
+    assert Box({"x": Interval(0.0, 2.0)}).join(
         Box({"x": Interval(1.0, 5.0), "y": Interval(0.0, 1.0)}),
     ) == Box({"x": Interval(1.0, 2.0), "y": Interval(0.0, 1.0)})
     # disjoint scopes give the product
-    assert join_boxes(Box({"x": Interval(0.0, 1.0)}), Box({"y": Interval(0.0, 1.0)})) == Box(
+    assert Box({"x": Interval(0.0, 1.0)}).join(Box({"y": Interval(0.0, 1.0)})) == Box(
         {"x": Interval(0.0, 1.0), "y": Interval(0.0, 1.0)}
     )
     # disjoint intervals give the empty box over the union scope
-    got = join_boxes(Box({"x": Interval(0.0, 1.0)}), Box({"x": Interval(2.0, 3.0)}))
+    got = Box({"x": Interval(0.0, 1.0)}).join(Box({"x": Interval(2.0, 3.0)}))
     assert got.is_empty
     assert got.scope == frozenset({"x"})
 
@@ -136,7 +135,7 @@ def test_top_box_is_top_of_subset_order():
         lo, hi = sorted(rng.uniform(-9, 9) for _ in range(2))
         b = Box({"x": Interval(lo, hi), "y": Interval(lo - 1, hi + 1)})
         assert top.encloses(b)
-        assert join_boxes(top, b) == b
+        assert top.join(b) == b
 
 
 def test_with_intervals():
@@ -175,7 +174,7 @@ def test_join_is_least_upper_bound_in_information_order():
         b0, b1 = sorted(rng.uniform(-4, 4) for _ in range(2))
         a = Box({"x": Interval(a0, a1)})
         b = Box({"x": Interval(b0, b1)})
-        j = join_boxes(a, b)
+        j = a.join(b)
         assert j["x"].is_subset(a["x"])
         assert j["x"].is_subset(b["x"])
         if not j.is_empty:

@@ -262,3 +262,15 @@ def test_importing_the_cli_does_not_load_numpy():
     env = dict(os.environ, PYTHONPATH=str(Path(boxprune.__file__).parents[1]))
     code = "import sys, boxprune.cli; sys.exit('numpy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_infeasible_repeated_variable_is_proved_at_once(problem_file):
+    # x + y = x forces y = 0, which [8, 9] misses, so one application
+    # proves the box empty; the timeout turns a stall into a failure
+    path = problem_file("var x in [-1e250, -1]; var y in [8, 9]; constraint x + y = x;\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(boxprune.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "boxprune.cli", path], env=env, capture_output=True, text=True, timeout=20
+    )
+    assert done.returncode == 1
+    assert "contractor applications 1" in done.stdout

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -22,7 +23,14 @@ from boxprune import (
 )
 from boxprune.interval import sqrt_up
 
-from helpers import check_contractor_laws, make_csp, quartic_csp_xyzu, right_half_box
+from helpers import (
+    REPEATED_PATTERNS,
+    check_contractor_laws,
+    check_repeated_laws,
+    make_csp,
+    quartic_csp_xyzu,
+    right_half_box,
+)
 
 INF = math.inf
 
@@ -248,21 +256,57 @@ def test_apply_lifted_scope_violation():
 
 
 def test_apply_lifted_repeated_variable_diagonal():
-    # x^2 = x forces x into {0, 1}; the hull is [0, 1] and the rounded
-    # iteration stalls one ulp above 1
+    # x^2 = x forces x into {0, 1}, and the hull is exactly [0, 1]
     con = Constraint("sq", ("x", "x"), cid=0)
-    got = apply_lifted(con, Box({"x": iv(-5, 5)}))
-    assert got["x"] == Interval(0.0, math.nextafter(1.0, INF))
-    assert iv(0, 1).is_subset(got["x"])
+    assert apply_lifted(con, Box({"x": iv(-5, 5)}))["x"] == iv(0, 1)
+    assert apply_lifted(con, Box({"x": iv(0.5, 5)}))["x"] == iv(1, 1)
+    assert apply_lifted(con, Box({"x": iv(0.25, 0.5)})).is_empty
 
 
 def test_apply_lifted_repeated_variable_in_sum():
-    # x + x = x only holds at 0, but single-constraint contraction can
-    # only be sound, not complete; the result must still contain 0
+    # x + x = x only holds at 0
     con = Constraint("sum", ("x", "x", "x"), cid=0)
-    got = apply_lifted(con, Box({"x": iv(-2, 2)}))
-    assert got["x"].contains(0.0)
-    assert got["x"].is_subset(iv(-2, 2))
+    assert apply_lifted(con, Box({"x": iv(-2, 2)}))["x"] == iv(0, 0)
+
+
+def test_repeated_argument_in_the_result_slot():
+    # x + y = x forces y = 0, whatever x is
+    got = apply_lifted(Constraint("sum", ("x", "y", "x"), cid=0), Box({"x": iv(-1, 4), "y": iv(0, 16)}))
+    assert got == Box({"x": iv(-1, 4), "y": iv(0, 0)})
+    got = apply_lifted(Constraint("sum", ("x", "y", "y"), cid=0), Box({"x": iv(-1, 4), "y": iv(0, 16)}))
+    assert got == Box({"x": iv(0, 0), "y": iv(0, 16)})
+    # x * y = x means x = 0 or y = 1; x = [1, 2] misses 0, so y = 1
+    got = apply_lifted(Constraint("mul", ("x", "y", "x"), cid=0), Box({"x": iv(1, 2), "y": iv(0, 16)}))
+    assert got == Box({"x": iv(1, 2), "y": iv(1, 1)})
+    got = apply_lifted(Constraint("mul", ("x", "y", "y"), cid=0), Box({"x": iv(2, 3), "y": iv(-1, 16)}))
+    assert got == Box({"x": iv(2, 3), "y": iv(0, 0)})
+
+
+def test_repeated_factor_is_a_square():
+    got = apply_lifted(Constraint("mul", ("x", "x", "z"), cid=0), Box({"x": iv(-1, 2), "z": FULL}))
+    assert got == Box({"x": iv(-1, 2), "z": iv(0, 4)})
+
+
+def test_repeated_addend_is_a_doubling():
+    got = apply_lifted(Constraint("sum", ("x", "x", "z"), cid=0), Box({"x": iv(-3, 3), "z": iv(-1, 10)}))
+    assert got == Box({"x": iv(-0.5, 3), "z": iv(-1, 6)})
+
+
+def test_doubling_rounds_outward_on_overflow_and_on_halving_a_subnormal():
+    con = Constraint("sum", ("x", "x", "z"), cid=0)
+    big = Box({"x": iv(1e308, 1.5e308), "z": FULL})
+    assert apply_lifted(con, big) == big.with_intervals({"z": Interval(sys.float_info.max, INF)})
+    # 2x >= 2e308 exceeds every float
+    assert apply_lifted(con, big.with_intervals({"z": Interval(-INF, sys.float_info.max)})).is_empty
+    # x = 2.5e-324 is no float, so its enclosure is the two floats around it
+    tiny = Box({"x": FULL, "z": Interval(5e-324, 5e-324)})
+    assert apply_lifted(con, tiny) == tiny.with_intervals({"x": Interval(0.0, 5e-324)})
+
+
+@pytest.mark.parametrize("kind,args", REPEATED_PATTERNS, ids=[f"{k}{a}" for k, a in REPEATED_PATTERNS])
+def test_repeated_pattern_laws(kind, args):
+    rng = random.Random(repr((kind, args)))
+    assert check_repeated_laws(rng, kind, args, instances=150) > 0
 
 
 def test_apply_lifted_infeasible_returns_empty_over_scope():

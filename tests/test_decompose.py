@@ -276,9 +276,10 @@ def test_csp_compiles_constraints_against_name_order_slots():
     assert csp.names == ("x", "y", "z")
     assert csp.watchers == ((0,), (0,), ())
     (lifted,) = csp.lifted
-    assert lifted.args == (1, 0, 1)
+    # y * x = y compiles to "y = 0 or x = 1" over the distinct slots (y, x)
+    assert lifted.args == (1, 0)
     assert lifted.sorted_slots == (0, 1)
-    # change masks index the first-occurrence variables (y, x)
+    # bit b of a change mask names args[b]
     assert lifted.shrunk == ((), (1,), (0,), (1, 0))
 
 

@@ -255,8 +255,7 @@ def broyden(n: int, repeated: bool = False) -> str:
     """Broyden tridiagonal (3 - 2 x_i) x_i + 1 - x_{i-1} - 2 x_{i+1} = 0 on [-1, 1]^n.
 
     With ``repeated`` each x_i appears twice in one product (written
-    ``3*x_i - x_i*x_i*2``), so that product takes the lift's path for
-    repeated argument variables.
+    ``3*x_i - x_i*x_i*2``), which the lift compiles to the square x_i^2.
     """
     decls = [f"var x{i} in [-1, 1];" for i in range(1, n + 1)]
     eqs = []
@@ -299,9 +298,9 @@ PINNED = [
     ("broyden-2", "worklist", 1485, 737, "f2d966fc0645fd02ea546113756d65cc6cf20c2dc5aba19e762fc5d9f83cdf1a"),
     ("broyden-2", "roundrobin", 2280, 1398, "9b956af682cf50525cbf523b15ceb7965aea87537a520e8ed122ff2877bafdf7"),
     ("broyden-2", "random:7", 923, 897, "6022845df8b125167b684d47b09d485722991d821c3e1b7f7f098196c02931e6"),
-    ("broyden-2-repeated", "worklist", 731, 341, "47cbf2db5ff5c717e52b81e5505b959a0601181cbd9573c9f15cd070ca772098"),
-    ("broyden-2-repeated", "roundrobin", 3168, 341, "7f62268ae02926626dfd4a1c4d57c05f03259c649a8b2f950aa788d2463d1835"),
-    ("broyden-2-repeated", "random:7", 389, 337, "3037e09f67f3f971dd45418fe36188bd16d6f878dca75261431af5326a21fc2f"),
+    ("broyden-2-repeated", "worklist", 11598, 5794, "2f95426009c861c2001e58ead9ebb384766beead7163bab9f98794b0d2f8da3e"),
+    ("broyden-2-repeated", "roundrobin", 18774, 13047, "15314eb32758d22ce57275e4ab4db3ab55a603731654c392a5f467660c5f4107"),
+    ("broyden-2-repeated", "random:7", 7389, 7358, "385e951ae29b5775ea28a21de71e811665533465ac9810038e3c6003c37da612"),
 ]
 
 

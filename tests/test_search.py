@@ -183,6 +183,15 @@ def test_deep_unbounded_search_is_pinned():
     assert report.atomic_boxes[1][0]["x"].contains(1.0)
 
 
+def test_repeated_variable_system_solves_in_a_few_applications():
+    # a + a*a = a holds only at a = 0; the repeated-variable kernels prove it
+    # in ten applications, with no split
+    csp = compile_problem("var a in [-1.0, 4.0]; constraint a + a * a = a; constraint -a = -a;")
+    report = solve(csp, eps=1e-6, max_boxes=256)
+    assert [(box["a"], path) for box, path in report.atomic_boxes] == [(Interval(0.0, 0.0), "")]
+    assert report.stats.contractor_applications == 10
+
+
 def test_budget_exceeded_carries_partial_report():
     csp = compile_problem(QUARTIC_WIDE)
     full = solve(csp, eps=1e-10)
