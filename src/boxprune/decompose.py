@@ -13,7 +13,10 @@ Grammar, one statement per ``;`` with ``#`` line comments::
 
 A declaration without bounds means the whole real line.  Variables must be
 declared before use and start with a letter; names beginning with ``_`` are
-reserved for the auxiliaries that flattening introduces.
+reserved for the auxiliaries that flattening introduces.  An expression
+nests at most ``MAX_DEPTH`` levels, counting every operator and every pair
+of parentheses on its deepest path; a deeper one is a ParseError.  Sums and
+products chain to the left, so ``a + b + c`` is two levels deep.
 
 ``decompose`` rewrites each equation into primitive constraints over
 {sum, mul, sq, const}, introducing one auxiliary variable per distinct
@@ -154,6 +157,11 @@ _NUM_RE = re.compile(r"(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _OPS = frozenset("+-*^()=;[],")
 _INT_RE = re.compile(r"\d+")
+# Parsing, flattening, rendering and the oracle all recurse once per level
+# of an expression, and the parser four times per parenthesis, so a fixed
+# bound keeps every one of them well inside Python's default recursion
+# limit of 1000.
+MAX_DEPTH = 200
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,6 +220,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.i = 0
         self.declared: dict[str, Interval] = {}
+        self.open_parens = 0
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -294,40 +303,51 @@ class _Parser:
 
     def parse_constraint(self) -> tuple[ExprAst, ExprAst]:
         self.advance()  # 'constraint'
-        lhs = self.parse_expr()
+        lhs, _ = self.parse_expr()
         self.expect_op("=")
-        rhs = self.parse_expr()
+        rhs, _ = self.parse_expr()
         self.expect_op(";")
         return lhs, rhs
 
-    def parse_expr(self) -> ExprAst:
-        node = self.parse_term()
+    # Each parse_* method below returns a node and its depth: the number of
+    # operators and parenthesis pairs on its deepest path.
+
+    def deeper(self, depth: int, tok: _Token) -> int:
+        """One level below ``depth``; fails at ``tok`` past MAX_DEPTH."""
+        if depth >= MAX_DEPTH:
+            self.fail(f"expression nests deeper than {MAX_DEPTH} levels", tok)
+        return depth + 1
+
+    def parse_expr(self) -> tuple[ExprAst, int]:
+        node, depth = self.parse_term()
         while True:
             tok = self.peek()
             if tok.kind == "op" and tok.text in "+-":
                 self.advance()
-                rhs = self.parse_term()
+                rhs, rhs_depth = self.parse_term()
                 node = Add(node, rhs) if tok.text == "+" else Sub(node, rhs)
+                depth = self.deeper(max(depth, rhs_depth), tok)
             else:
-                return node
+                return node, depth
 
-    def parse_term(self) -> ExprAst:
-        node = self.parse_factor()
+    def parse_term(self) -> tuple[ExprAst, int]:
+        node, depth = self.parse_factor()
         while True:
             tok = self.peek()
             if tok.kind == "op" and tok.text == "*":
                 self.advance()
-                node = Mul(node, self.parse_factor())
+                rhs, rhs_depth = self.parse_factor()
+                node = Mul(node, rhs)
+                depth = self.deeper(max(depth, rhs_depth), tok)
             else:
-                return node
+                return node, depth
 
-    def parse_factor(self) -> ExprAst:
-        negate = False
+    def parse_factor(self) -> tuple[ExprAst, int]:
+        negate = None
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            negate = True
-        node = self.parse_atom()
+            negate = self.advance()
+        node, depth = self.parse_atom()
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             self.advance()
@@ -336,18 +356,21 @@ class _Parser:
                 self.fail("exponent must be a positive integer")
             self.advance()
             k = int(exp.text)
-            node = node if k == 1 else Pow(node, k)
-        if negate:
+            if k != 1:
+                node, depth = Pow(node, k), self.deeper(depth, tok)
+        if negate is not None:
             # fold the sign into a bare literal; -x^2 stays Neg(Pow(x, 2))
-            return _negated_num(node) if isinstance(node, Num) else Neg(node)
-        return node
+            if isinstance(node, Num):
+                return _negated_num(node), depth
+            return Neg(node), self.deeper(depth, negate)
+        return node, depth
 
-    def parse_atom(self) -> ExprAst:
+    def parse_atom(self) -> tuple[ExprAst, int]:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
             try:
-                return Num.from_text(tok.text)
+                return Num.from_text(tok.text), 0
             except (ValueError, ArithmeticError):
                 self.fail(f"bad numeric literal {tok.text!r}", tok)
         if tok.kind == "ident":
@@ -356,12 +379,17 @@ class _Parser:
             if tok.text not in self.declared:
                 self.fail(f"undeclared variable {tok.text!r}")
             self.advance()
-            return Var(tok.text)
+            return Var(tok.text), 0
         if tok.kind == "op" and tok.text == "(":
+            # the depth inside is not known yet, so the open parentheses
+            # are counted before recursing into them
+            self.deeper(self.open_parens, tok)
             self.advance()
-            node = self.parse_expr()
+            self.open_parens += 1
+            node, depth = self.parse_expr()
+            self.open_parens -= 1
             self.expect_op(")")
-            return node
+            return node, self.deeper(depth, tok)
         self.fail("expected a variable, number, or parenthesized expression")
 
 

@@ -8,6 +8,14 @@ schedule, the order in which the loop visits constraints, and they land on
 the same box: each contractor is shrinking, order-preserving, and
 idempotent, which makes the common fixpoint unique for a given start box.
 
+Every engine takes an optional ``start``, the ids of the constraints the
+schedule begins from; None means all of them.  Any fair schedule reaches
+the same fixpoint, so a schedule may leave out a constraint the start box
+already satisfies as a fixpoint: the search passes only the constraints
+watching the variable it just split, since the parent's fixpoint is still a
+fixpoint of every other one.  The caller vouches for the constraints left
+out; the engine does not check them.
+
 The loop works on the system as compiled by Csp: it reads the box once
 into two float lists, the lower and upper bounds of every variable in slot
 order, applies each constraint's float-level kernel to them in place,
@@ -23,7 +31,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from collections.abc import Generator
+from collections.abc import Generator, Iterable
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -73,24 +81,29 @@ Engine = Callable[..., PropagationOutcome]
 # A schedule yields the id of the next constraint to apply, is sent the
 # slots that application shrank (in the order of the compiled constraint's
 # arguments), and returns once every constraint is known to be at its
-# fixpoint.  Csp guarantees that an id is the constraint's position.
+# fixpoint.  Csp guarantees that an id is the constraint's position.  A
+# schedule starts from the constraints in ``start``, or from all of them
+# when it is None.
 Schedule = Generator[int, tuple[int, ...], None]
 
 _DEFAULT_MAX_STEPS = 1_000_000
 
 
-def _sweeps(csp: Csp) -> Schedule:
+def _sweeps(csp: Csp, start: Iterable[int] | None) -> Schedule:
+    every = range(len(csp.constraints))
+    sweep = every if start is None else sorted(start)
     changed = True
     while changed:
         changed = False
-        for cid in range(len(csp.constraints)):
+        for cid in sweep:
             if (yield cid):
                 changed = True
+        sweep = every
 
 
-def _fifo(csp: Csp) -> Schedule:
+def _fifo(csp: Csp, start: Iterable[int] | None) -> Schedule:
     watchers = csp.watchers
-    queue = deque(range(len(csp.constraints)))
+    queue = deque(range(len(csp.constraints)) if start is None else sorted(start))
     queued = set(queue)
     while queue:
         cid = queue.popleft()
@@ -102,10 +115,10 @@ def _fifo(csp: Csp) -> Schedule:
                     queued.add(watcher)
 
 
-def _uniform(csp: Csp, seed: int) -> Schedule:
+def _uniform(csp: Csp, seed: int, start: Iterable[int] | None) -> Schedule:
     rng = random.Random(seed)
     watchers = csp.watchers
-    unstable = set(range(len(csp.constraints)))
+    unstable = set(range(len(csp.constraints)) if start is None else start)
     while unstable:
         pool = sorted(unstable)
         cid = pool[rng.randrange(len(pool))]
@@ -209,35 +222,57 @@ def _propagate(csp: Csp, box: Box, schedule: Schedule, record_trace: bool, max_s
 
 
 def propagate_roundrobin(
-    csp: Csp, box: Box, *, record_trace: bool = False, max_steps: int = _DEFAULT_MAX_STEPS
+    csp: Csp,
+    box: Box,
+    *,
+    record_trace: bool = False,
+    max_steps: int = _DEFAULT_MAX_STEPS,
+    start: Iterable[int] | None = None,
 ) -> PropagationOutcome:
-    """Sweep constraints in id order until one full sweep changes nothing."""
-    return _propagate(csp, box, _sweeps(csp), record_trace, max_steps)
+    """Sweep constraints in id order until one full sweep changes nothing.
+
+    With ``start``, the first sweep visits only those constraints, and the
+    run ends there if that sweep changed nothing.
+    """
+    return _propagate(csp, box, _sweeps(csp, start), record_trace, max_steps)
 
 
 def propagate_worklist(
-    csp: Csp, box: Box, *, record_trace: bool = False, max_steps: int = _DEFAULT_MAX_STEPS
+    csp: Csp,
+    box: Box,
+    *,
+    record_trace: bool = False,
+    max_steps: int = _DEFAULT_MAX_STEPS,
+    start: Iterable[int] | None = None,
 ) -> PropagationOutcome:
     """FIFO worklist: a changed variable requeues every constraint on it.
 
-    The queue starts holding all constraints in id order and never holds a
-    constraint twice.  When an application changes some variables, every
-    constraint whose scope mentions one of them (the applied one included)
-    is appended again unless already queued.
+    The queue starts holding all constraints in id order, or the ids in
+    ``start`` in ascending order, and never holds a constraint twice.  When
+    an application changes some variables, every constraint whose scope
+    mentions one of them (the applied one included) is appended again
+    unless already queued.
     """
-    return _propagate(csp, box, _fifo(csp), record_trace, max_steps)
+    return _propagate(csp, box, _fifo(csp, start), record_trace, max_steps)
 
 
 def propagate_random(
-    csp: Csp, box: Box, seed: int, *, record_trace: bool = False, max_steps: int = _DEFAULT_MAX_STEPS
+    csp: Csp,
+    box: Box,
+    seed: int,
+    *,
+    record_trace: bool = False,
+    max_steps: int = _DEFAULT_MAX_STEPS,
+    start: Iterable[int] | None = None,
 ) -> PropagationOutcome:
     """Apply uniformly random constraints until all are simultaneously stable.
 
-    Keeps the set of constraints known to be at fixpoint for the current
-    box; an effective application invalidates every constraint sharing a
-    changed variable.  Deterministic for a given seed.
+    Keeps the set of constraints not yet known to be at fixpoint for the
+    current box, all of them or those in ``start`` at first; an effective
+    application adds every constraint sharing a changed variable.
+    Deterministic for a given seed.
     """
-    return _propagate(csp, box, _uniform(csp, seed), record_trace, max_steps)
+    return _propagate(csp, box, _uniform(csp, seed, start), record_trace, max_steps)
 
 
 def gamma_power(csp: Csp, box: Box, k: int) -> Box:
@@ -259,7 +294,14 @@ def get_engine(spec: str) -> Engine:
             seed = int(tail)
         except ValueError:
             raise ValueError(f"bad random seed {tail!r} in engine spec {spec!r}") from None
-        def engine(csp: Csp, box: Box, **kwargs) -> PropagationOutcome:
-            return propagate_random(csp, box, seed, **kwargs)
+        def engine(
+            csp: Csp,
+            box: Box,
+            *,
+            record_trace: bool = False,
+            max_steps: int = _DEFAULT_MAX_STEPS,
+            start: Iterable[int] | None = None,
+        ) -> PropagationOutcome:
+            return propagate_random(csp, box, seed, record_trace=record_trace, max_steps=max_steps, start=start)
         return engine
     raise ValueError(f"unknown propagation order {spec!r}")

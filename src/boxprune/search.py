@@ -8,6 +8,13 @@ widest splittable user variable.  Soundness of the contractors makes the
 emitted list complete: every solution of the system inside the initial box
 lies in some emitted atomic box.
 
+The root is propagated from all constraints.  A child differs from its
+parent's fixpoint only in the split variable, so it is still a fixpoint of
+every constraint that does not watch that variable, and its schedule starts
+from the split variable's watchers alone.  The greatest fixpoint below a
+box is unique, so this changes application counts and traces, never a
+fixpoint, a path or a pruned count.
+
 Split halves share their midpoint, so a solution sitting exactly on a cut
 can legitimately surface in two adjacent enclosures.
 """
@@ -21,7 +28,7 @@ from enum import Enum
 from .boxes import Box
 from .contractors import TraceRecord
 from .decompose import Csp
-from .interval import Interval
+from .interval import Interval, _raw
 from .propagation import Engine, propagate_worklist
 
 __all__ = [
@@ -93,25 +100,35 @@ def is_splittable(iv: Interval) -> bool:
 def split(box: Box, var: str) -> tuple[Box, Box]:
     """Halve one variable at its midpoint; the halves share that endpoint."""
     iv = box[var]
-    mid = iv.midpoint()
-    if not iv.lo < mid < iv.hi:
+    lo, hi = iv.lo, iv.hi
+    # halving a sum of -1 ulp rounds to -0.0, which bounds never hold
+    mid = iv.midpoint() + 0.0
+    if not lo < mid < hi:
         raise ValueError(f"{var} = {iv} cannot be split")
-    return (
-        box.with_intervals({var: Interval(iv.lo, mid)}),
-        box.with_intervals({var: Interval(mid, iv.hi)}),
-    )
+    # a midpoint strictly inside is finite, so both halves are canonical,
+    # and the copies keep the parent's name order
+    left, right = dict(box._ivs), dict(box._ivs)
+    left[var] = _raw(lo, mid)
+    right[var] = _raw(mid, hi)
+    return Box._from_sorted(left), Box._from_sorted(right)
 
 
 def pick_split_var(box: Box, user_vars: tuple[str, ...], eps: float) -> str | None:
     """Widest splittable user variable with width > eps; ties go to the
-    lexicographically first name; None when the box is atomic."""
+    lexicographically first name, whatever the order of ``user_vars``;
+    None when the box is atomic."""
+    ivs = box._ivs
     best: str | None = None
     best_width = eps
-    for name in sorted(user_vars):
-        iv = box[name]
-        if iv.width > best_width and is_splittable(iv):
-            best = name
-            best_width = iv.width
+    for name in user_vars:
+        iv = ivs[name]
+        # hi - lo is the width: +inf when a bound is infinite, negative
+        # for the empty interval
+        width = iv.hi - iv.lo
+        if width > best_width or (width == best_width and best is not None and name < best):
+            if is_splittable(iv):
+                best = name
+                best_width = width
     return best
 
 
@@ -126,6 +143,9 @@ def solve(
 ) -> SolveReport:
     """Depth-first branch-and-prune from the CSP's initial box.
 
+    ``engine`` is called once per node as ``engine(csp, box,
+    record_trace=..., start=...)``, with ``start`` None at the root and the
+    split variable's watchers below it (see the propagation engines).
     Raises BudgetExceeded (carrying the partial report) rather than
     emitting an atomic box beyond max_boxes.
     """
@@ -157,13 +177,15 @@ def solve(
             traces=tuple(traces) if record_trace else None,
         )
 
+    by_name = tuple(sorted(csp.user_vars))
+    watchers = dict(zip(csp.names, csp.watchers))
     # a node's path is its depth and the integer whose low `depth` bits
     # spell the path; the string is built only for nodes the report keeps
-    stack: list[tuple[int, int, Box]] = [(0, 0, csp.initial_box)]
+    stack: list[tuple[int, int, Box, tuple[int, ...] | None]] = [(0, 0, csp.initial_box, None)]
     while stack:
-        depth, bits, box = stack.pop()
+        depth, bits, box, start = stack.pop()
         max_depth = max(max_depth, depth)
-        outcome = engine(csp, box, record_trace=record_trace)
+        outcome = engine(csp, box, record_trace=record_trace, start=start)
         applications += outcome.steps
         if record_trace:
             traces.append((_path(depth, bits), outcome.trace))
@@ -173,15 +195,16 @@ def solve(
             if keep_pruned:
                 pruned.append((box, _path(depth, bits)))
             continue
-        var = pick_split_var(fixpoint, csp.user_vars, eps)
+        var = pick_split_var(fixpoint, by_name, eps)
         if var is None:
             if len(atomic) >= max_boxes:
                 raise BudgetExceeded(max_boxes, report(incomplete=True))
             atomic.append((fixpoint, _path(depth, bits)))
             continue
         left, right = split(fixpoint, var)
-        stack.append((depth + 1, bits << 1 | 1, right))
-        stack.append((depth + 1, bits << 1, left))
+        start = watchers[var]
+        stack.append((depth + 1, bits << 1 | 1, right, start))
+        stack.append((depth + 1, bits << 1, left, start))
     return report(incomplete=False)
 
 

@@ -51,6 +51,11 @@ constraint x^2 + y^2 = 1;
 """
 
 
+def box_bits(box: Box) -> tuple[tuple[str, str, str], ...]:
+    """A box's bounds as ``float.hex`` strings, for bit-for-bit comparisons."""
+    return tuple((name, iv.lo.hex(), iv.hi.hex()) for name, iv in box.items())
+
+
 def make_csp(constraints, bindings, user_vars=None) -> Csp:
     """Wrap hand-built constraints plus an initial box into a Csp."""
     box = bindings if isinstance(bindings, Box) else Box(bindings)
@@ -387,3 +392,57 @@ def check_repeated_laws(rng: random.Random, kind: str, args, instances: int) -> 
         # exact relation inside the box
         assert once == repeated_hull(kind, args, box), f"{kind}{args} not optimal on {box}: {once}"
     return points_checked
+
+
+def random_system_text(rng: random.Random) -> str:
+    """One system from the random grammar of acceptance criterion 9: up to
+    three variables, one to three equations over all four primitive kinds."""
+    consts = ("0", "1", "2", "3", "0.5", "0.25", "1.5")
+    names = ["a", "b", "c"][: rng.randrange(1, 4)]
+    decls = [
+        f"var {n} in [{rng.choice((-4.0, -2.0, -1.0, 0.0))}, {rng.choice((1.0, 2.0, 4.0))}];"
+        for n in names
+    ]
+
+    def atom() -> str:
+        return rng.choice(names) if rng.random() < 0.7 else rng.choice(consts)
+
+    def expr(depth: int) -> str:
+        if depth == 0:
+            return atom()
+        op = rng.randrange(6)
+        if op == 0:
+            return f"{expr(depth - 1)} + {expr(depth - 1)}"
+        if op == 1:
+            return f"{expr(depth - 1)} - {expr(depth - 1)}"
+        if op == 2:
+            return f"{expr(depth - 1)} * {expr(depth - 1)}"
+        if op == 3:
+            return f"{atom()}^2"
+        if op == 4:
+            return f"-{atom()}"
+        return atom()
+
+    equations = [
+        f"constraint {expr(rng.randrange(1, 3))} = {expr(rng.randrange(0, 2))};"
+        for _ in range(rng.randrange(1, 4))
+    ]
+    return " ".join(decls + equations)
+
+
+def broyden(n: int, repeated: bool = False) -> str:
+    """Broyden tridiagonal (3 - 2 x_i) x_i + 1 - x_{i-1} - 2 x_{i+1} = 0 on [-1, 1]^n.
+
+    With ``repeated`` each x_i appears twice in one product (written
+    ``3*x_i - x_i*x_i*2``), which the lift compiles to the square x_i^2.
+    """
+    decls = [f"var x{i} in [-1, 1];" for i in range(1, n + 1)]
+    eqs = []
+    for i in range(1, n + 1):
+        lhs = f"3*x{i} - x{i}*x{i}*2 + 1" if repeated else f"(3 - 2*x{i})*x{i} + 1"
+        if i > 1:
+            lhs += f" - x{i - 1}"
+        if i < n:
+            lhs += f" - 2*x{i + 1}"
+        eqs.append(f"constraint {lhs} = 0;")
+    return " ".join(decls + eqs)

@@ -39,6 +39,7 @@ from helpers import (
     check_contractor_laws,
     left_half_box,
     quartic_csp_xyzu,
+    random_system_text,
     right_half_box,
 )
 
@@ -195,47 +196,13 @@ def test_criterion_08_contractor_laws_at_scale():
         assert g1.encloses(g2)
 
 
-def _random_system_text(rng: random.Random) -> str:
-    consts = ("0", "1", "2", "3", "0.5", "0.25", "1.5")
-    names = ["a", "b", "c"][: rng.randrange(1, 4)]
-    decls = [
-        f"var {n} in [{rng.choice((-4.0, -2.0, -1.0, 0.0))}, {rng.choice((1.0, 2.0, 4.0))}];"
-        for n in names
-    ]
-
-    def atom() -> str:
-        return rng.choice(names) if rng.random() < 0.7 else rng.choice(consts)
-
-    def expr(depth: int) -> str:
-        if depth == 0:
-            return atom()
-        op = rng.randrange(6)
-        if op == 0:
-            return f"{expr(depth - 1)} + {expr(depth - 1)}"
-        if op == 1:
-            return f"{expr(depth - 1)} - {expr(depth - 1)}"
-        if op == 2:
-            return f"{expr(depth - 1)} * {expr(depth - 1)}"
-        if op == 3:
-            return f"{atom()}^2"
-        if op == 4:
-            return f"-{atom()}"
-        return atom()
-
-    equations = [
-        f"constraint {expr(rng.randrange(1, 3))} = {expr(rng.randrange(0, 2))};"
-        for _ in range(rng.randrange(1, 4))
-    ]
-    return " ".join(decls + equations)
-
-
 def test_criterion_09_schedule_confluence():
     with criterion(9, "all propagation orders reach bit-identical fixpoints"):
         accepted = 0
         for seed in range(4000):
             if accepted >= 200:
                 break
-            csp = compile_problem(_random_system_text(random.Random(seed)))
+            csp = compile_problem(random_system_text(random.Random(seed)))
             if not csp.constraints or len(csp.variables) > 6 or len(csp.constraints) > 10:
                 continue
             accepted += 1

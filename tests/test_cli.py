@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import boxprune
-from boxprune import compile_problem, solve
+from boxprune import cli, compile_problem, solve
 from boxprune.cli import main
+from boxprune.decompose import MAX_DEPTH
 
 from helpers import QUARTIC_UNIT, QUARTIC_WIDE, X_STAR, Y_STAR
 
@@ -138,19 +139,59 @@ def test_readme_circle_output_and_counts_per_order(problem_file, capsys):
         "box 00: {x=[-0.7861513777574236,-0.7861513777574229], y=[0.6180339887498943,0.6180339887498953]}\n"
         "box 11: {x=[0.7861513777574229,0.7861513777574236], y=[0.6180339887498943,0.6180339887498953]}\n"
     )
-    for order, applications in (("worklist", 1032), ("roundrobin", 1374), ("random:7", 945)):
+    for order, applications in (("worklist", 1026), ("roundrobin", 1372), ("random:7", 937)):
         assert main([path, "--order", order]) == 0
         assert capsys.readouterr().out == boxes + f"emitted 2 boxes, pruned 2, contractor applications {applications}\n"
 
 
-def test_crash_exits_with_internal_error_code(problem_file, capsys):
-    deep = "(" * 3000 + "x" + ")" * 3000
-    code = main([problem_file(f"var x in [0, 1]; constraint {deep} = 0;")])
+def test_crash_exits_with_internal_error_code(problem_file, capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "solve", crash)
+    code = main([problem_file(QUARTIC_UNIT)])
     captured = capsys.readouterr()
     assert code == 4
     assert captured.out == ""
     assert captured.err.startswith("error: internal error: RecursionError: ")
     assert captured.err.count("\n") == 1
+
+
+DEPTH_PROBLEM = "var x in [0, 1]; constraint {} = 0;"
+
+
+@pytest.mark.parametrize(
+    "expression,column",
+    [
+        # MAX_DEPTH + 1 nested parentheses: the error points at the innermost
+        ("(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1), 29 + MAX_DEPTH),
+        # a left-deep sum of MAX_DEPTH + 2 terms: the error points at its last '+'
+        (" + ".join(["x"] * (MAX_DEPTH + 2)), 29 + 4 * MAX_DEPTH + 2),
+        ("(" * 3000 + "x" + ")" * 3000, 29 + MAX_DEPTH),
+        (" + ".join(["x"] * 3000), 29 + 4 * MAX_DEPTH + 2),
+    ],
+    ids=["parens-past-limit", "sum-past-limit", "parens-3000", "sum-3000"],
+)
+def test_too_deep_expression_is_a_parse_error(problem_file, capsys, expression, column):
+    code = main([problem_file(DEPTH_PROBLEM.format(expression))])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: line 1, column {column}: expression nests deeper than {MAX_DEPTH} levels\n"
+
+
+@pytest.mark.parametrize(
+    "expression",
+    ["(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH, " + ".join(["x"] * (MAX_DEPTH + 1))],
+    ids=["parens-at-limit", "sum-at-limit"],
+)
+def test_expression_at_the_depth_limit_solves(problem_file, capsys, expression):
+    path = problem_file(DEPTH_PROBLEM.format(expression))
+    for extra in ([], ["--echo"], ["--check-grid", "5"]):
+        assert main([path] + extra) == 0
+    out = capsys.readouterr().out
+    assert out.count("box : {x=[0.0,0.0]}\n") == 2
+    assert "grid check: 1 candidate points, 1 enclosed (all enclosed)\n" in out
 
 
 def test_trace_lines(problem_file, capsys):

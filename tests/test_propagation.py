@@ -1,6 +1,7 @@
 """Fixpoint engines: scheduling, termination, traces, and confluence."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -20,15 +21,20 @@ from boxprune import (
     propagate_roundrobin,
     propagate_worklist,
     solve,
+    split,
 )
+from boxprune.search import is_splittable
 
 from helpers import (
     X_STAR,
     X_STAR_DOWN,
     Y_STAR,
+    box_bits,
+    broyden,
     left_half_box,
     make_csp,
     quartic_csp_xyzu,
+    random_system_text,
     right_half_box,
 )
 
@@ -251,24 +257,6 @@ def test_engines_agree_on_proved_empty():
     assert boxes[0].is_empty
 
 
-def broyden(n: int, repeated: bool = False) -> str:
-    """Broyden tridiagonal (3 - 2 x_i) x_i + 1 - x_{i-1} - 2 x_{i+1} = 0 on [-1, 1]^n.
-
-    With ``repeated`` each x_i appears twice in one product (written
-    ``3*x_i - x_i*x_i*2``), which the lift compiles to the square x_i^2.
-    """
-    decls = [f"var x{i} in [-1, 1];" for i in range(1, n + 1)]
-    eqs = []
-    for i in range(1, n + 1):
-        lhs = f"3*x{i} - x{i}*x{i}*2 + 1" if repeated else f"(3 - 2*x{i})*x{i} + 1"
-        if i > 1:
-            lhs += f" - x{i - 1}"
-        if i < n:
-            lhs += f" - 2*x{i + 1}"
-        eqs.append(f"constraint {lhs} = 0;")
-    return " ".join(decls + eqs)
-
-
 @pytest.mark.parametrize(
     "text", [broyden(2), broyden(4), broyden(2, repeated=True)], ids=["n2", "n4", "n2-repeated"]
 )
@@ -285,6 +273,67 @@ def test_engines_agree_bit_for_bit_on_broyden(text):
     reports = [solve(csp, eps=1e-8, engine=engine).atomic_boxes for engine in engines]
     for boxes in reports[1:]:
         assert boxes == reports[0]
+
+
+# Starting from a subset of the constraints.
+
+
+@pytest.mark.parametrize("name,engine", ENGINES)
+def test_empty_start_applies_nothing(name, engine):
+    csp = quartic_csp_xyzu()
+    out = engine(csp, csp.initial_box, start=(), record_trace=True)
+    assert out == PropagationOutcome(csp.initial_box, Status.FEASIBLE_UNKNOWN, 0, 0, ())
+
+
+def test_worklist_queues_the_start_set_in_id_order():
+    csp = quartic_csp_xyzu()
+    out = propagate_worklist(csp, PLATEAU, start=(3, 1), record_trace=True)
+    assert [r.cid for r in out.trace] == [1, 3]
+
+
+def test_roundrobin_stops_after_a_start_sweep_that_changed_nothing():
+    csp = quartic_csp_xyzu()
+    out = propagate_roundrobin(csp, PLATEAU, start=(3, 1), record_trace=True)
+    assert [r.cid for r in out.trace] == [1, 3]
+
+
+def test_roundrobin_goes_on_with_full_sweeps_after_a_start_sweep_that_changed():
+    # the const constraint on u changes the box, so full sweeps follow
+    csp = quartic_csp_xyzu()
+    out = propagate_roundrobin(csp, csp.initial_box, start=(1,), record_trace=True)
+    assert out.fixpoint == PLATEAU
+    assert [r.cid for r in out.trace] == [1, 0, 1, 2, 3, 0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("order", ["worklist", "roundrobin", "random:3"])
+def test_split_child_from_the_split_variables_watchers_reaches_the_same_fixpoint(order):
+    # The parent's fixpoint is a fixpoint of every constraint that does not
+    # watch the split variable, so a schedule started from that variable's
+    # watchers must land on the very bits of a schedule started from all
+    engine = get_engine(order)
+    rng = random.Random(7)
+    halves = 0
+    for seed in range(400):
+        csp = compile_problem(random_system_text(random.Random(seed)))
+        if not csp.constraints:
+            continue
+        box = engine(csp, csp.initial_box).fixpoint
+        # follow one random path a few splits down
+        for _ in range(4):
+            slots = [s for s, name in enumerate(csp.names) if not box.is_empty and is_splittable(box[name])]
+            if not slots:
+                break
+            slot = rng.choice(slots)
+            children = []
+            for half in split(box, csp.names[slot]):
+                seeded = engine(csp, half, start=csp.watchers[slot])
+                full = engine(csp, half)
+                assert box_bits(seeded.fixpoint) == box_bits(full.fixpoint), (seed, csp.names[slot])
+                assert seeded.status is full.status
+                children.append(seeded.fixpoint)
+                halves += 1
+            box = rng.choice(children)
+    assert halves >= 500, halves
 
 
 # Application counts and traces, pinned per schedule.  Any change to a

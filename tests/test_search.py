@@ -12,6 +12,7 @@ from boxprune import (
     Interval,
     SolveStatus,
     compile_problem,
+    get_engine,
     pick_split_var,
     propagate_roundrobin,
     propagate_worklist,
@@ -20,7 +21,7 @@ from boxprune import (
 )
 from boxprune.search import is_splittable
 
-from helpers import QUARTIC_UNIT, QUARTIC_WIDE, X_STAR, Y_STAR, make_csp
+from helpers import QUARTIC_UNIT, QUARTIC_WIDE, X_STAR, Y_STAR, box_bits, broyden, make_csp
 
 
 # Splitting.
@@ -44,6 +45,13 @@ def test_split_symmetric_interval_cuts_at_zero():
     left, right = split(box, "x")
     assert left["x"] == Interval(-1.0, 0.0)
     assert right["x"] == Interval(0.0, 1.0)
+
+
+def test_split_at_a_negative_zero_midpoint_gives_canonical_halves():
+    # -2 ulp + 1 ulp halves to -0.0 under round-to-nearest-even
+    box = Box({"x": Interval(-1e-323, 5e-324)})
+    left, right = split(box, "x")
+    assert left["x"].hi.hex() == right["x"].lo.hex() == (0.0).hex()
 
 
 def test_split_point_interval_raises():
@@ -72,6 +80,8 @@ def test_pick_split_var_prefers_widest_user_variable():
 def test_pick_split_var_breaks_ties_lexicographically():
     box = Box({"b": Interval(0, 1), "a": Interval(0, 1)})
     assert pick_split_var(box, ("b", "a"), 1e-10) == "a"
+    box = Box({"c": FULL, "a": Interval(0, math.inf), "b": Interval(0, 1), "d": FULL})
+    assert pick_split_var(box, ("d", "b", "c", "a"), 1e-10) == "a"
 
 
 def test_pick_split_var_none_when_atomic():
@@ -175,7 +185,7 @@ def test_deep_unbounded_search_is_pinned():
     # each root, x = y = -1 and x = y = 1, lies over a thousand splits below
     # the unbounded root box
     report = solve(compile_problem("var x; var y; constraint x*y = 1; constraint x = y;"))
-    assert report.stats.contractor_applications == 20577
+    assert report.stats.contractor_applications == 12349
     assert report.stats.max_depth == 1029
     assert report.pruned_count == 2056
     assert [path for _, path in report.atomic_boxes] == ["0" + "1" * 1028, "1" + "0" * 1028]
@@ -190,6 +200,75 @@ def test_repeated_variable_system_solves_in_a_few_applications():
     report = solve(csp, eps=1e-6, max_boxes=256)
     assert [(box["a"], path) for box, path in report.atomic_boxes] == [(Interval(0.0, 0.0), "")]
     assert report.stats.contractor_applications == 10
+
+
+# Re-propagating only what a split disturbed.
+
+
+def reference_solve(csp, eps, max_boxes, engine):
+    """Branch-and-prune that propagates every node from all constraints.
+
+    Returns the atomic boxes with their paths, the pruned count, the
+    maximum depth, whether the box budget ran out, and the variable split
+    to make each non-root node."""
+    atomic, pruned, max_depth, split_var = [], 0, 0, {}
+    stack = [("", csp.initial_box)]
+    while stack:
+        path, box = stack.pop()
+        max_depth = max(max_depth, len(path))
+        fixpoint = engine(csp, box).fixpoint
+        if fixpoint.is_empty:
+            pruned += 1
+            continue
+        var = pick_split_var(fixpoint, csp.user_vars, eps)
+        if var is None:
+            if len(atomic) >= max_boxes:
+                return atomic, pruned, max_depth, True, split_var
+            atomic.append((box_bits(fixpoint), path))
+            continue
+        left, right = split(fixpoint, var)
+        split_var[path + "0"] = split_var[path + "1"] = var
+        stack.append((path + "1", right))
+        stack.append((path + "0", left))
+    return atomic, pruned, max_depth, False, split_var
+
+
+SEARCHES = [
+    ("quartic-unit", QUARTIC_UNIT, 1e-10, 4096),
+    ("circle", QUARTIC_WIDE, 1e-10, 4096),
+    ("unit-circle-and-line", "var x in [-2, 2]; var y in [-2, 2]; constraint x^2 + y^2 = 1; constraint x = y;", 1e-10, 4096),
+    ("hyperbola", "var x; var y; constraint x*y = 1; constraint x = y;", 1e-10, 4096),
+    ("broyden-2-repeated", broyden(2, repeated=True), 1e-8, 4096),
+    ("separable", "var x in [-2, 2]; var y in [-2, 2]; constraint x^2 = 2; constraint y^2 + y = 1;", 1e-10, 4096),
+    ("diagonal", "var x in [-2, 2]; var y in [-2, 2]; constraint x = y;", 1e-10, 64),
+]
+
+
+@pytest.mark.parametrize("order", ["worklist", "roundrobin", "random:7"])
+@pytest.mark.parametrize("text,eps,max_boxes", [s[1:] for s in SEARCHES], ids=[s[0] for s in SEARCHES])
+def test_solve_matches_a_search_that_propagates_every_node_from_all_constraints(text, eps, max_boxes, order):
+    csp = compile_problem(text)
+    engine = get_engine(order)
+    try:
+        report = solve(csp, eps=eps, max_boxes=max_boxes, engine=engine, record_trace=True)
+    except BudgetExceeded as exc:
+        report = exc.report
+    atomic, pruned, max_depth, incomplete, split_var = reference_solve(csp, eps, max_boxes, engine)
+    assert [(box_bits(box), path) for box, path in report.atomic_boxes] == atomic
+    assert report.pruned_count == pruned
+    assert report.stats.max_depth == max_depth
+    assert report.incomplete == incomplete
+    # a child's schedule starts from the constraints watching the variable
+    # its parent split, and leaves them only once one of them has changed
+    # the box
+    slot = {name: i for i, name in enumerate(csp.names)}
+    for path, trace in report.traces[1:]:
+        assert trace, path
+        watchers = csp.watchers[slot[split_var[path]]]
+        for record in trace:
+            assert record.cid in watchers, path
+            if record.changed:
+                break
 
 
 def test_budget_exceeded_carries_partial_report():
