@@ -2,7 +2,8 @@
 
 The pipeline: parse a small equation language, decompose to primitive
 ternary constraints, narrow boxes with optimal interval contractors driven
-to a fixpoint, and branch-and-prune until every remaining box is atomic.
+to a fixpoint, hand a propagation that stalls to an interval Newton
+(Krawczyk) step, and branch-and-prune until every remaining box is atomic.
 All arithmetic is outward-rounded, so emitted enclosures are guaranteed to
 contain every real solution of the input system.
 """
@@ -28,6 +29,7 @@ from .decompose import (
     render_problem,
 )
 from .interval import EMPTY, FULL, Interval
+from .newton import krawczyk
 from .oracle import GridSpec, bisect_root, extend_assignment, grid_solutions
 from .propagation import (
     PropagationOutcome,
@@ -80,6 +82,7 @@ __all__ = [
     "propagate_random",
     "gamma_power",
     "get_engine",
+    "krawczyk",
     "SolveReport",
     "SolveStats",
     "SolveStatus",

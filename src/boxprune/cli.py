@@ -2,9 +2,10 @@
 
 Exit codes: 0 = enclosures emitted, 1 = proved infeasible (a success mode:
 the answer is "no solutions"), 2 = parse or usage error, 3 = atomic box
-budget exceeded (partial results are still printed, marked incomplete),
-4 = internal error (any other exception, reported as one line on stderr;
-nothing was proved).
+budget exceeded (partial results are still printed, marked incomplete), or
+under --propagate-only, propagation stopped at its application budget short
+of a fixpoint (the sound iterate is printed), 4 = internal error (any
+other exception, reported as one line on stderr; nothing was proved).
 
 Output is deterministic: identical input and flags give byte-identical
 stdout. Timing is therefore never printed.
@@ -88,6 +89,8 @@ def render_report(
                 "boxes_pruned": report.pruned_count,
                 "contractor_applications": report.stats.contractor_applications,
                 "max_depth": report.stats.max_depth,
+                "krawczyk_steps": report.stats.krawczyk_steps,
+                "krawczyk_narrowed": report.stats.krawczyk_narrowed,
             },
             "incomplete": report.incomplete,
         }
@@ -143,6 +146,8 @@ def _render_fixpoint(outcome: PropagationOutcome, fmt: str, names) -> str:
         lines.extend(rec.to_text() for rec in outcome.trace)
     if outcome.status is Status.PROVED_EMPTY:
         lines.append("infeasible (proved empty)")
+    elif outcome.status is Status.STALLED:
+        lines.append(f"stalled after {outcome.steps} applications: {_bindings_text(outcome.fixpoint, names)}")
     else:
         lines.append(f"fixpoint: {_bindings_text(outcome.fixpoint, names)}")
     lines.append(f"contractor applications {outcome.steps}")
@@ -191,7 +196,7 @@ def run(args: argparse.Namespace) -> int:
     if args.propagate_only:
         outcome = engine(csp, csp.initial_box, record_trace=args.trace)
         sys.stdout.write(_render_fixpoint(outcome, args.format, names))
-        return 1 if outcome.status is Status.PROVED_EMPTY else 0
+        return {Status.PROVED_EMPTY: 1, Status.STALLED: 3}.get(outcome.status, 0)
 
     exit_code = 0
     try:

@@ -422,7 +422,9 @@ class Csp:
     ``names`` holds the variables in name order, and a variable's position
     there is its slot.  ``watchers[slot]`` holds the ascending ids of the
     constraints mentioning that variable, and ``lifted[cid]`` is constraint
-    cid compiled against the slots (``contractors.lift``).  Construction
+    cid compiled against the slots (``contractors.lift``).  ``jacobian``
+    is None until ``newton.krawczyk`` first needs the source equations'
+    derivatives, and then holds them compiled.  Construction
     raises ValueError when the ids are not 0..m-1 in order or a constraint
     names an undeclared variable.
     """
@@ -437,6 +439,7 @@ class Csp:
     names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     watchers: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     lifted: tuple[Lifted, ...] = field(init=False, repr=False, compare=False)
+    jacobian: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = tuple(sorted(self.variables))
@@ -452,6 +455,7 @@ class Csp:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "watchers", tuple(map(tuple, watchers)))
         object.__setattr__(self, "lifted", tuple(lift(con, slot) for con in self.constraints))
+        object.__setattr__(self, "jacobian", None)
 
 
 _ZERO = Num("0", 0.0, True)

@@ -5,8 +5,9 @@ real image of its operands.  Each bound is the nearest float on its side
 of the exact value: the round-to-nearest result when the exact value lies
 on its inward side, and its neighbour one ulp outward otherwise.  The
 sign of the rounding error comes from error-free transforms (TwoSum,
-Dekker's two-product) or, outside the exponent window where those are
-exact, from integer-ratio comparisons.  Exactly representable results
+Dekker's two-product, with operands scaled by powers of two into the
+exponent window where it is exact) or, where TwoSum overflows next to the
+largest float, from integer-ratio comparisons.  Exactly representable results
 therefore keep their bit pattern, and since correct rounding is monotone,
 so is every operation.
 
@@ -24,6 +25,8 @@ from dataclasses import dataclass
 _INF = math.inf
 _MAX = sys.float_info.max
 _next = math.nextafter
+_frexp = math.frexp
+_ldexp = math.ldexp
 
 __all__ = [
     "Interval",
@@ -264,26 +267,34 @@ def _prod_sign(x: float, y: float, z: float) -> int:
     |x|, |y| < 1e150 and |p| > 1e-50 ensures: the splits stay below 1e159,
     the partial products below 1.1e300, and the lowest bit of each partial
     product is at least ulp(x) * ulp(y) >= |x*y| * 2**-106 > 1e-82.
-    Outside the window exact rationals decide.
+    Outside the window the operands are scaled into it by powers of two:
+    with x = mx * 2**ex and y = my * 2**ey, where 1/2 <= |mx|, |my| < 1,
+    x*y - z is 2**(ex+ey) * (mx*my - z * 2**-(ex+ey)).  Since z rounds
+    x*y, the scaled z is near mx*my, so scaling it is exact (it can only
+    leave the subnormal range, or stay zero), and the scaled triple lies
+    inside the window.
     """
     p = x * y
     if p != z:
         return 1 if p > z else -1
-    if 1e-100 < p * p and x * x + y * y < 1e300:
-        cx = _SPLIT * x
-        hx = cx - (cx - x)
-        lx = x - hx
-        cy = _SPLIT * y
-        hy = cy - (cy - y)
-        ly = y - hy
-        err = ((hx * hy - p) + hx * ly + lx * hy) + lx * ly
-        return (err > 0.0) - (err < 0.0)
-    nx, dx = x.as_integer_ratio()
-    ny, dy = y.as_integer_ratio()
-    nz, dz = z.as_integer_ratio()
-    lhs = nx * ny * dz
-    rhs = nz * dx * dy
-    return (lhs > rhs) - (lhs < rhs)
+    if not (1e-100 < p * p and x * x + y * y < 1e300):
+        if x == 0.0 or y == 0.0:
+            # z == p is zero as well
+            return 0
+        x, ex = _frexp(x)
+        y, ey = _frexp(y)
+        z = _ldexp(z, -(ex + ey))
+        p = x * y
+        if p != z:
+            return 1 if p > z else -1
+    cx = _SPLIT * x
+    hx = cx - (cx - x)
+    lx = x - hx
+    cy = _SPLIT * y
+    hy = cy - (cy - y)
+    ly = y - hy
+    err = ((hx * hy - p) + hx * ly + lx * hy) + lx * ly
+    return (err > 0.0) - (err < 0.0)
 
 
 def mul_down(x: float, y: float) -> float:

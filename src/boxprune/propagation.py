@@ -22,14 +22,19 @@ order, applies each constraint's float-level kernel to them in place,
 tells the schedule which slots shrank, and builds the fixpoint Box once at
 the end.
 
-Every engine raises RuntimeError once it has spent ``max_steps``
-applications short of the fixpoint.  A correct system can hit that budget:
-near a double root propagation converges only linearly.
+An engine that has spent ``max_steps`` applications short of the fixpoint
+stops and returns its current iterate with Status.STALLED.  Every
+contractor only removes points that are not solutions, so every iterate of
+the chaotic iteration is a sound enclosure, but a stalled one is a fixpoint
+of nothing in particular.  A correct system can stall: near a double root,
+and in the tails of systems like Broyden's, propagation converges only
+linearly.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from collections import deque
 from collections.abc import Generator, Iterable
 from dataclasses import dataclass
@@ -58,6 +63,7 @@ __all__ = [
 class Status(Enum):
     FEASIBLE_UNKNOWN = "feasible-unknown"
     PROVED_EMPTY = "proved-empty"
+    STALLED = "stalled"
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,7 +72,8 @@ class PropagationOutcome:
 
     ``steps`` counts contractor applications, ``effective_steps`` the ones
     that changed at least one interval.  ``trace`` is None unless recording
-    was requested.
+    was requested.  When ``status`` is STALLED, ``fixpoint`` holds the
+    iterate the run stopped at: a sound enclosure, but not a fixpoint.
     """
 
     fixpoint: Box
@@ -118,14 +125,20 @@ def _fifo(csp: Csp, start: Iterable[int] | None) -> Schedule:
 def _uniform(csp: Csp, seed: int, start: Iterable[int] | None) -> Schedule:
     rng = random.Random(seed)
     watchers = csp.watchers
-    unstable = set(range(len(csp.constraints)) if start is None else start)
-    while unstable:
-        pool = sorted(unstable)
+    # the unstable ids, kept sorted so that a pick of the k-th smallest
+    # needs no sort, and as a set for membership
+    pool = sorted(set(range(len(csp.constraints)) if start is None else start))
+    unstable = set(pool)
+    while pool:
         cid = pool[rng.randrange(len(pool))]
         for v in (yield cid):
-            unstable.update(watchers[v])
+            for watcher in watchers[v]:
+                if watcher not in unstable:
+                    unstable.add(watcher)
+                    insort(pool, watcher)
         # either way the applied constraint sits at its own fixpoint now
         unstable.discard(cid)
+        del pool[bisect_left(pool, cid)]
 
 
 # A traced run builds one record per application, and the frozen
@@ -163,6 +176,7 @@ def _propagate(csp: Csp, box: Box, schedule: Schedule, record_trace: bool, max_s
         raise ValueError(f"box scope does not match the CSP's variables (missing {missing}, extra {extra})")
     trace: list[TraceRecord] = []
     steps = effective = 0
+    stalled = False
     if not box.is_empty and csp.constraints:
         # name order is slot order
         ivs = list(box._ivs.values())
@@ -178,7 +192,8 @@ def _propagate(csp: Csp, box: Box, schedule: Schedule, record_trace: bool, max_s
             except StopIteration:
                 break
             if steps >= max_steps:
-                raise RuntimeError(f"propagation exceeded its budget of {max_steps} contractor applications")
+                stalled = True
+                break
             steps += 1
             kernel, args, value, shrinks, sorted_slots = lifted[cid]
             if record_trace:
@@ -214,7 +229,7 @@ def _propagate(csp: Csp, box: Box, schedule: Schedule, record_trace: bool, max_s
             box = _adopt(fixed)
     return PropagationOutcome(
         fixpoint=box,
-        status=Status.PROVED_EMPTY if box.is_empty else Status.FEASIBLE_UNKNOWN,
+        status=Status.PROVED_EMPTY if box.is_empty else Status.STALLED if stalled else Status.FEASIBLE_UNKNOWN,
         steps=steps,
         effective_steps=effective,
         trace=tuple(trace) if record_trace else None,

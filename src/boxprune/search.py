@@ -12,8 +12,25 @@ The root is propagated from all constraints.  A child differs from its
 parent's fixpoint only in the split variable, so it is still a fixpoint of
 every constraint that does not watch that variable, and its schedule starts
 from the split variable's watchers alone.  The greatest fixpoint below a
-box is unique, so this changes application counts and traces, never a
-fixpoint, a path or a pruned count.
+box is unique, so this changes application counts and traces, and on a
+node that does not stall (below), never its fixpoint.
+
+A square system (as many source equations as user variables) runs each
+node's engine under an application budget, starting at four applications
+per constraint.  Propagation converges only linearly near many roots, so a
+run that stalls hands its iterate, a sound box, to the Krawczyk operator
+(boxprune.newton), which converges quadratically near a regular root; its
+steps repeat for as long as each halves the widest user variable.  The
+engine then restarts from the narrowed box and all constraints, since a
+stalled iterate is not a fixpoint of any of them.  The budget doubles each
+time Krawczyk fails to halve the widest user variable.  The node's box is
+then the greatest fixpoint below a box that Krawczyk narrowed, a subset of
+the plain fixpoint of the node by monotonicity, and it may differ between
+orders and start sets by an ulp.  A node that reaches its fixpoint within
+the first budget, and every node of a system that is not square, is
+propagated exactly as without Krawczyk.  A node's applications across
+restarts share one budget of 1,000,000, and a node that spends it raises
+RuntimeError.
 
 Split halves share their midpoint, so a solution sitting exactly on a cut
 can legitimately surface in two adjacent enclosures.
@@ -29,7 +46,8 @@ from .boxes import Box
 from .contractors import TraceRecord
 from .decompose import Csp
 from .interval import Interval, _raw
-from .propagation import Engine, propagate_worklist
+from .newton import is_square, krawczyk
+from .propagation import Engine, PropagationOutcome, Status, propagate_worklist
 
 __all__ = [
     "SolveStatus",
@@ -42,6 +60,9 @@ __all__ = [
     "solve",
 ]
 
+# one node's applications, summed over the runs of its engine
+_NODE_BUDGET = 1_000_000
+
 
 class SolveStatus(Enum):
     ENCLOSURES = "enclosures"
@@ -50,10 +71,15 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True, slots=True)
 class SolveStats:
+    """``krawczyk_steps`` counts Krawczyk steps taken on stalled nodes, and
+    ``krawczyk_narrowed`` the steps that narrowed the box or emptied it."""
+
     contractor_applications: int
     max_depth: int
     # timing is informational; it never participates in report equality
     wall_clock_seconds: float = field(compare=False)
+    krawczyk_steps: int = 0
+    krawczyk_narrowed: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,11 +169,14 @@ def solve(
 ) -> SolveReport:
     """Depth-first branch-and-prune from the CSP's initial box.
 
-    ``engine`` is called once per node as ``engine(csp, box,
-    record_trace=..., start=...)``, with ``start`` None at the root and the
-    split variable's watchers below it (see the propagation engines).
+    ``engine`` is called as ``engine(csp, box, record_trace=...,
+    start=..., max_steps=...)``, once per node and again after each
+    Krawczyk step, with ``start`` None at the root and after a Krawczyk
+    step, and the split variable's watchers otherwise (see the propagation
+    engines).  A node's trace concatenates the traces of its runs.
     Raises BudgetExceeded (carrying the partial report) rather than
-    emitting an atomic box beyond max_boxes.
+    emitting an atomic box beyond max_boxes, and RuntimeError when a node
+    spends 1,000,000 applications short of its fixpoint.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -159,6 +188,7 @@ def solve(
     pruned_count = 0
     applications = 0
     max_depth = 0
+    newton_steps = newton_narrowed = 0
     traces: list[tuple[str, tuple[TraceRecord, ...]]] = []
 
     def report(incomplete: bool) -> SolveReport:
@@ -171,6 +201,8 @@ def solve(
                 contractor_applications=applications,
                 max_depth=max_depth,
                 wall_clock_seconds=time.monotonic() - started,
+                krawczyk_steps=newton_steps,
+                krawczyk_narrowed=newton_narrowed,
             ),
             incomplete=incomplete,
             pruned_boxes=tuple(pruned) if keep_pruned else None,
@@ -179,13 +211,20 @@ def solve(
 
     by_name = tuple(sorted(csp.user_vars))
     watchers = dict(zip(csp.names, csp.watchers))
+    # Krawczyk cannot narrow a system that is not square, so its nodes get
+    # the whole budget at once
+    first_budget = 4 * len(csp.constraints) if is_square(csp) else _NODE_BUDGET
     # a node's path is its depth and the integer whose low `depth` bits
     # spell the path; the string is built only for nodes the report keeps
     stack: list[tuple[int, int, Box, tuple[int, ...] | None]] = [(0, 0, csp.initial_box, None)]
     while stack:
         depth, bits, box, start = stack.pop()
         max_depth = max(max_depth, depth)
-        outcome = engine(csp, box, record_trace=record_trace, start=start)
+        outcome = engine(csp, box, record_trace=record_trace, start=start, max_steps=first_budget)
+        if outcome.status is Status.STALLED:
+            outcome, tried, narrowed = _newton_restarts(csp, engine, outcome, by_name, first_budget, record_trace)
+            newton_steps += tried
+            newton_narrowed += narrowed
         applications += outcome.steps
         if record_trace:
             traces.append((_path(depth, bits), outcome.trace))
@@ -206,6 +245,59 @@ def solve(
         stack.append((depth + 1, bits << 1 | 1, right, start))
         stack.append((depth + 1, bits << 1, left, start))
     return report(incomplete=False)
+
+
+def _widest(box: Box, names: tuple[str, ...]) -> float:
+    ivs = box._ivs
+    return max(ivs[name].hi - ivs[name].lo for name in names)
+
+
+def _newton(csp: Csp, box: Box, names: tuple[str, ...]) -> tuple[Box, int, int]:
+    """Krawczyk steps from ``box`` for as long as each halves the widest of
+    ``names``; returns the last box, the steps and the steps that narrowed."""
+    steps = narrowing = 0
+    while True:
+        step = krawczyk(csp, box)
+        steps += 1
+        if step is box:
+            return box, steps, narrowing
+        narrowing += 1
+        if step.is_empty or not _widest(step, names) <= 0.5 * _widest(box, names):
+            return step, steps, narrowing
+        box = step
+
+
+def _newton_restarts(
+    csp: Csp, engine: Engine, outcome: PropagationOutcome, names: tuple[str, ...], budget: int, record_trace: bool
+) -> tuple[PropagationOutcome, int, int]:
+    """Carry a node whose run stalled under ``budget`` to its fixpoint.
+
+    Alternates Krawczyk steps with runs of the engine from all constraints,
+    doubling the budget whenever the steps fail to halve the widest of
+    ``names``.  Returns the node's outcome over all its runs, the Krawczyk
+    steps and the steps that narrowed.
+    """
+    steps, effective = outcome.steps, outcome.effective_steps
+    trace = list(outcome.trace) if record_trace else None
+    tried = narrowed = 0
+    while outcome.status is Status.STALLED:
+        if steps >= _NODE_BUDGET:
+            raise RuntimeError(f"propagation exceeded its budget of {_NODE_BUDGET} contractor applications")
+        box, k, n = _newton(csp, outcome.fixpoint, names)
+        tried += k
+        narrowed += n
+        if box.is_empty:
+            outcome = PropagationOutcome(box, Status.PROVED_EMPTY, 0, 0)
+            break
+        if not _widest(box, names) <= 0.5 * _widest(outcome.fixpoint, names):
+            budget *= 2
+        outcome = engine(csp, box, record_trace=record_trace, start=None, max_steps=min(budget, _NODE_BUDGET - steps))
+        steps += outcome.steps
+        effective += outcome.effective_steps
+        if record_trace:
+            trace += outcome.trace
+    whole = PropagationOutcome(outcome.fixpoint, outcome.status, steps, effective, None if trace is None else tuple(trace))
+    return whole, tried, narrowed
 
 
 def _path(depth: int, bits: int) -> str:

@@ -13,10 +13,12 @@ from fractions import Fraction
 
 from boxprune import (
     Box,
+    BudgetExceeded,
     Constraint,
     Csp,
     FULL,
     Interval,
+    Status,
     apply_lifted,
     box_hull,
     contract_const,
@@ -24,6 +26,7 @@ from boxprune import (
     contract_sq,
     contract_sum,
     empty_box,
+    solve,
 )
 
 # Positive root of x^4 + x^2 = 1, i.e. x = sqrt((sqrt(5) - 1) / 2).
@@ -446,3 +449,88 @@ def broyden(n: int, repeated: bool = False) -> str:
             lhs += f" - 2*x{i + 1}"
         eqs.append(f"constraint {lhs} = 0;")
     return " ".join(decls + eqs)
+
+
+def broyden_root(n: int, box: Box) -> dict:
+    """The root of the Broyden system that Newton's method at 40 digits
+    reaches from the midpoint of ``box``, as mpmath numbers."""
+    import mpmath
+
+    def f(*x):
+        return [
+            (3 - 2 * x[i]) * x[i] + 1 - (x[i - 1] if i > 0 else 0) - (2 * x[i + 1] if i < n - 1 else 0)
+            for i in range(n)
+        ]
+
+    names = [f"x{i}" for i in range(1, n + 1)]
+    with mpmath.workdps(40):
+        start = [(mpmath.mpf(box[v].lo) + mpmath.mpf(box[v].hi)) / 2 for v in names]
+        root = mpmath.findroot(f, start)
+        root = [root] if n == 1 else list(root)
+        assert max(abs(r) for r in f(*root)) < mpmath.mpf(10) ** -30
+    return dict(zip(names, root))
+
+
+def holds_point(box: Box, point: dict) -> bool:
+    """Whether every coordinate of ``point`` (floats or mpmath numbers)
+    lies in its interval of ``box``, decided exactly."""
+    import mpmath
+
+    for name, value in point.items():
+        iv = box[name]
+        if iv.is_empty:
+            return False
+        if isinstance(value, float):
+            if not iv.lo <= value <= iv.hi:
+                return False
+        elif not (mpmath.mpf(iv.lo) <= value <= mpmath.mpf(iv.hi)):
+            return False
+    return True
+
+
+def solve_by_node(csp: Csp, engine, **solve_kwargs):
+    """Solve with an engine that records its runs, and group the runs by
+    search node.
+
+    A node's first run starts from the node's box; every further run of the
+    same node is a restart after a Krawczyk step, which solve makes with
+    ``start=None``, while a new node below the root always gets a start
+    set.  Returns the report (the partial one if the box budget ran out)
+    and, per node, its box and the outcomes of its runs in order.
+    """
+    runs = []
+
+    def recording(csp_, box, **kwargs):
+        outcome = engine(csp_, box, **kwargs)
+        runs.append((box, kwargs.get("start"), outcome))
+        return outcome
+
+    try:
+        report = solve(csp, engine=recording, **solve_kwargs)
+    except BudgetExceeded as exc:
+        report = exc.report
+    nodes = []
+    for box, start, outcome in runs:
+        if not nodes or start is not None:
+            nodes.append((box, []))
+        nodes[-1][1].append(outcome)
+    return report, nodes
+
+
+def check_nodes_against_plain_fixpoints(csp: Csp, engine, nodes) -> int:
+    """Each node's final box is a subset of the plain fixpoint of the box it
+    started from (one run of ``engine`` from all constraints), and equal to
+    it bit for bit when the node's first run reached its fixpoint.  A node
+    whose last run stalled was emptied by a Krawczyk step.  Returns the
+    number of nodes that stalled."""
+    stalled = 0
+    for box, outcomes in nodes:
+        plain = engine(csp, box).fixpoint
+        last = outcomes[-1]
+        final = empty_box(box.names) if last.status is Status.STALLED else last.fixpoint
+        if len(outcomes) == 1 and last.status is not Status.STALLED:
+            assert box_bits(final) == box_bits(plain)
+        else:
+            stalled += 1
+            assert plain.encloses(final), (box, final, plain)
+    return stalled

@@ -1,12 +1,15 @@
 """End-to-end command-line behavior, run in process."""
 
+import functools
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import boxprune
@@ -14,7 +17,7 @@ from boxprune import cli, compile_problem, solve
 from boxprune.cli import main
 from boxprune.decompose import MAX_DEPTH
 
-from helpers import QUARTIC_UNIT, QUARTIC_WIDE, X_STAR, Y_STAR
+from helpers import QUARTIC_UNIT, QUARTIC_WIDE, X_STAR, Y_STAR, broyden
 
 INFEASIBLE = "var x in [0, 1]; var y in [-3, -1]; constraint y = x^2;\n"
 POINT_SYSTEM = "var x in [0, 4]; constraint x^2 = 4;\n"
@@ -120,26 +123,73 @@ def test_propagate_only_proved_empty(problem_file, capsys):
     assert "infeasible (proved empty)" in out
 
 
+# The plain fixpoints of the circle's two leaf nodes, which propagation
+# alone reaches after about 500 applications each.  Under the default
+# budget those nodes stall and end in Krawczyk steps inside these boxes.
+PLAIN_CIRCLE_BOXES = {
+    "00": {"x": (-0.7861513777574236, -0.7861513777574229), "y": (0.6180339887498943, 0.6180339887498953)},
+    "11": {"x": (0.7861513777574229, 0.7861513777574236), "y": (0.6180339887498943, 0.6180339887498953)},
+}
+_BOX_LINE = re.compile(r"box (\d*): \{x=\[([^,]+),([^\]]+)\], y=\[([^,]+),([^\]]+)\]\}")
+
+
+def test_propagate_only_prints_a_stalled_iterate(problem_file, capsys, monkeypatch):
+    # a run cut short at its budget prints its iterate, which is sound but
+    # not a fixpoint, and exits 3
+    get_engine = cli.get_engine
+    monkeypatch.setattr(cli, "get_engine", lambda spec: functools.partial(get_engine(spec), max_steps=5))
+    path = problem_file(broyden(2))
+    assert main([path, "--propagate-only"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("stalled after 5 applications: {x1=[")
+    assert lines[1:] == ["contractor applications 5"]
+    assert main([path, "--propagate-only", "--format", "json"]) == 3
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["status"] == "stalled"
+    assert obj["stats"]["contractor_applications"] == 5
+    assert set(obj["fixpoint"]) == {"x1", "x2"}
+
+
+def test_json_stats_count_krawczyk_steps(problem_file, capsys):
+    assert main([problem_file(QUARTIC_WIDE), "--format", "json"]) == 0
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    report = solve(compile_problem(QUARTIC_WIDE))
+    assert stats["krawczyk_steps"] == report.stats.krawczyk_steps
+    assert stats["krawczyk_narrowed"] == report.stats.krawczyk_narrowed
+    assert stats["krawczyk_steps"] >= stats["krawczyk_narrowed"] >= 1
+
+
 def test_order_flag_changes_work_but_not_answers(problem_file, capsys):
+    # the orders may end an ulp apart after Krawczyk steps, but they take
+    # the same paths, prune as many boxes, enclose both roots, and stay
+    # inside the plain fixpoints
     path = problem_file(QUARTIC_WIDE)
-
-    def box_lines(argv):
-        code = main(argv)
-        assert code == 0
-        return [l for l in capsys.readouterr().out.splitlines() if l.startswith("box ")]
-
-    reference = box_lines([path])
-    assert box_lines([path, "--order", "roundrobin"]) == reference
-    assert box_lines([path, "--order", "random:7"]) == reference
+    with mpmath.workdps(40):
+        y = (mpmath.sqrt(5) - 1) / 2
+        roots = {"00": (-mpmath.sqrt(y), y), "11": (mpmath.sqrt(y), y)}
+    summaries = set()
+    for order in ("worklist", "roundrobin", "random:7"):
+        assert main([path, "--order", order]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        boxes = {m[1]: ((float(m[2]), float(m[3])), (float(m[4]), float(m[5]))) for m in map(_BOX_LINE.fullmatch, lines[:-1])}
+        assert sorted(boxes) == ["00", "11"]
+        for where, (x, y) in boxes.items():
+            plain = PLAIN_CIRCLE_BOXES[where]
+            assert plain["x"][0] <= x[0] <= x[1] <= plain["x"][1]
+            assert plain["y"][0] <= y[0] <= y[1] <= plain["y"][1]
+            rx, ry = roots[where]
+            assert x[0] <= rx <= x[1] and y[0] <= ry <= y[1]
+        summaries.add(lines[-1].split(", contractor applications")[0])
+    assert summaries == {"emitted 2 boxes, pruned 2"}
 
 
 def test_readme_circle_output_and_counts_per_order(problem_file, capsys):
     path = problem_file(QUARTIC_WIDE)  # README's circle.txt
     boxes = (
-        "box 00: {x=[-0.7861513777574236,-0.7861513777574229], y=[0.6180339887498943,0.6180339887498953]}\n"
-        "box 11: {x=[0.7861513777574229,0.7861513777574236], y=[0.6180339887498943,0.6180339887498953]}\n"
+        "box 00: {x=[-0.7861513777574236,-0.7861513777574229], y=[0.6180339887498945,0.6180339887498952]}\n"
+        "box 11: {x=[0.7861513777574229,0.7861513777574236], y=[0.6180339887498945,0.6180339887498952]}\n"
     )
-    for order, applications in (("worklist", 1026), ("roundrobin", 1372), ("random:7", 937)):
+    for order, applications in (("worklist", 66), ("roundrobin", 74), ("random:7", 57)):
         assert main([path, "--order", order]) == 0
         assert capsys.readouterr().out == boxes + f"emitted 2 boxes, pruned 2, contractor applications {applications}\n"
 

@@ -265,6 +265,10 @@ def _exactness_operand(rng: random.Random) -> float:
     return mag if rng.random() < 0.5 else -mag
 
 
+def _signed(rng: random.Random, mag: float) -> float:
+    return mag if rng.random() < 0.5 else -mag
+
+
 def _is_rounded_down(got: float, exact: Fraction) -> bool:
     """got is the greatest float <= exact (-inf below the float range)."""
     if got == -INF:
@@ -300,6 +304,15 @@ def test_bounds_are_correctly_rounded():
                 ("sq", _sq_down(x), _sq_up(x), fx * fx)]
         if y != 0.0:
             rows.append(("div", div_down(x, y), div_up(x, y), fx / fy))
+        # a product and a quotient whose operands leave Dekker's window and
+        # are scaled back into it: one operand near 2**1000 or 2**-1000
+        # against an ordinary one, or two small ones with a subnormal product
+        eu, ew = rng.choice(((1000, 0), (-1000, 0), (-1000, -50), (0, 1000)))
+        u = _signed(rng, math.ldexp(rng.random() + 0.5, eu + rng.randint(-10, 10)))
+        w = _signed(rng, math.ldexp(rng.random() + 0.5, ew + rng.randint(-30, 10)))
+        fu, fw = Fraction(u), Fraction(w)
+        rows.append(("mul", mul_down(u, w), mul_up(u, w), fu * fw))
+        rows.append(("div", div_down(u, w), div_up(u, w), fu / fw))
         for name, lo, hi, exact in rows:
             assert _is_rounded_down(lo, exact), (name, "down", x.hex(), y.hex())
             assert _is_rounded_up(hi, exact), (name, "up", x.hex(), y.hex())

@@ -1,0 +1,290 @@
+"""The Krawczyk operator, and the search that hands it stalled propagations."""
+
+import math
+import random
+
+import mpmath
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from boxprune import (
+    Box,
+    Interval,
+    Status,
+    compile_problem,
+    empty_box,
+    get_engine,
+    krawczyk,
+    propagate_worklist,
+    solve,
+)
+from boxprune import search
+
+from helpers import (
+    QUARTIC_UNIT,
+    QUARTIC_WIDE,
+    broyden,
+    broyden_root,
+    check_nodes_against_plain_fixpoints,
+    holds_point,
+    solve_by_node,
+)
+from test_acceptance import _linear_system, _parabola_system
+
+
+def _around(csp, point: dict, below: float, above: float) -> Box:
+    """The initial box with every user variable cut to [p - below, p + above]
+    around the point's coordinate p, inside its declared bounds, or the
+    empty box when that misses the declared bounds."""
+    cut = dict(csp.initial_box.items())
+    for name, p in point.items():
+        iv = cut[name]
+        lo, hi = max(iv.lo, p - below), min(iv.hi, p + above)
+        if lo > hi:
+            return empty_box(cut)
+        cut[name] = Interval(lo, hi)
+    return Box(cut)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([_linear_system, _parabola_system]),
+    st.integers(-40, 1),
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 0.0, 0.5, -1.5, 3.0]),
+)
+def test_krawczyk_never_drops_an_exact_root(seed, build, scale, skew, shift):
+    # the criterion-10 systems put every root on a dyadic grid point, so
+    # membership is exact.  Boxes from a few ulps to the whole domain wide
+    # sit around a root or, shifted, next to it, which reaches the
+    # narrowing and the pruning cases.
+    text, roots = build(random.Random(seed))
+    csp = compile_problem(text)
+    width = math.ldexp(1.0, scale)
+    x0, y0 = random.Random(seed).choice(roots)
+    centre = {"x": x0 + shift * width, "y": y0 - shift * width}
+    box = _around(csp, centre, width * skew, width * (1.0 - skew) + 2.0**-50)
+    for _ in range(4):
+        if box.is_empty:
+            break
+        narrowed = krawczyk(csp, box)
+        assert box.encloses(narrowed)
+        for x, y in roots:
+            if holds_point(box, {"x": x, "y": y}):
+                assert holds_point(narrowed, {"x": x, "y": y}), (text, box, narrowed)
+        if narrowed is box:
+            break
+        box = narrowed
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]))
+def test_krawczyk_never_grows_the_box(seed, n):
+    csp = compile_problem(broyden(n))
+    rng = random.Random(seed)
+    ivs = {}
+    for name, iv in csp.initial_box.items():
+        if name in csp.user_vars:
+            a, b = sorted(rng.uniform(-1.0, 1.0) for _ in range(2))
+            if rng.random() < 0.5:
+                # shrink toward the interval's centre for a small box
+                mid, half = 0.5 * (a + b), 0.5 * (b - a) * 2.0 ** -rng.randint(0, 40)
+                a, b = mid - half, mid + half
+            iv = Interval(a, b)
+        ivs[name] = iv
+    box = Box(ivs)
+    narrowed = krawczyk(csp, box)
+    assert box.encloses(narrowed)
+    # variables outside the equations keep their very intervals
+    for name in csp.variables - set(csp.user_vars):
+        assert narrowed.is_empty or narrowed[name] is box[name]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # one equation in two variables
+        "var x in [-2, 2]; var y in [-2, 2]; constraint x = y;",
+        # three equations in two variables
+        "var x in [0, 2]; var y in [0, 2]; constraint x = y; constraint x*y = 1; constraint x - y = 0;",
+        # square, but unbounded
+        "var x; var y; constraint x*y = 1; constraint x = y;",
+        "var x in [0, inf]; var y in [0, 1]; constraint x*y = 1; constraint x = y;",
+    ],
+    ids=["one-equation", "three-equations", "unbounded", "half-bounded"],
+)
+def test_krawczyk_leaves_non_square_and_unbounded_systems_alone(text):
+    csp = compile_problem(text)
+    assert krawczyk(csp, csp.initial_box) is csp.initial_box
+    fixpoint = propagate_worklist(csp, csp.initial_box).fixpoint
+    assert krawczyk(csp, fixpoint) is fixpoint
+
+
+DOUBLE_ROOT = "var x in [0, 3]; constraint x^2 - 2*x + 1 = 0;"
+
+
+def test_krawczyk_leaves_a_singular_midpoint_jacobian_alone():
+    # x^2 - 2x + 1 has the double root 1, and the derivative 2x - 2 over
+    # [0, 2] has the midpoint 0
+    csp = compile_problem("var x in [0, 2]; constraint x^2 - 2*x + 1 = 0;")
+    assert krawczyk(csp, csp.initial_box) is csp.initial_box
+
+
+def test_krawczyk_narrows_to_a_regular_root_quadratically():
+    csp = compile_problem("var x in [1, 2]; constraint x^2 = 2;")
+    box = csp.initial_box
+    widths = []
+    while True:
+        narrowed = krawczyk(csp, box)
+        if narrowed is box:
+            break
+        assert narrowed["x"].contains(math.sqrt(2.0))
+        widths.append(narrowed["x"].width)
+        box = narrowed
+    assert widths[-1] <= 4 * math.ulp(math.sqrt(2.0))
+    assert len(widths) <= 8
+
+
+def test_krawczyk_proves_a_box_without_a_root_empty():
+    csp = compile_problem("var x in [1.5, 1.6]; constraint x^2 = 2;")
+    assert krawczyk(csp, csp.initial_box).is_empty
+
+
+def test_krawczyk_encloses_an_inexact_literal_as_written():
+    # 0.1 is not a float; the root sqrt(0.1) must survive with the literal
+    # enclosed, not rounded
+    csp = compile_problem("var x in [0.25, 0.5]; constraint x^2 = 0.1;")
+    box = propagate_worklist(csp, csp.initial_box).fixpoint
+    narrowed = krawczyk(csp, box)
+    with mpmath.workdps(40):
+        assert holds_point(narrowed, {"x": mpmath.sqrt(mpmath.mpf(1) / 10)})
+
+
+def test_the_jacobian_program_is_compiled_once_and_on_first_use():
+    csp = compile_problem(broyden(3))
+    assert csp.jacobian is None
+    solve(csp, eps=1e-8)
+    program = csp.jacobian
+    assert program is not None
+    solve(csp, eps=1e-8)
+    assert csp.jacobian is program
+
+
+# The search with Krawczyk steps.
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_mpmath_roots_of_broyden_lie_in_the_solve_boxes(n):
+    csp = compile_problem(broyden(n))
+    for order in ("worklist", "random:7"):
+        report = solve(csp, eps=1e-8, engine=get_engine(order))
+        assert not report.incomplete and report.atomic_boxes
+        assert report.stats.krawczyk_narrowed >= 1
+        for box, _ in report.atomic_boxes:
+            assert holds_point(box, broyden_root(n, box)), (n, order, box)
+            for v in csp.user_vars:
+                assert box[v].width <= 1e-8
+
+
+STALLING = [
+    ("quartic-unit", QUARTIC_UNIT, 1e-10),
+    ("circle", QUARTIC_WIDE, 1e-10),
+    ("separable", "var x in [-2, 2]; var y in [-2, 2]; constraint x^2 = 2; constraint y^2 + y = 1;", 1e-10),
+    ("broyden-2", broyden(2), 1e-8),
+    ("broyden-4", broyden(4), 1e-8),
+    ("broyden-2-repeated", broyden(2, repeated=True), 1e-8),
+    ("parabola", _parabola_system(random.Random(3))[0], 1e-10),
+]
+
+
+@pytest.mark.parametrize("order", ["worklist", "roundrobin", "random:7"])
+@pytest.mark.parametrize("text,eps", [s[1:] for s in STALLING], ids=[s[0] for s in STALLING])
+def test_every_stalled_node_ends_inside_its_plain_fixpoint(text, eps, order):
+    # Krawczyk keeps every root, so the fixpoint below its box is a subset
+    # of the fixpoint below the node's box; a node that did not stall is
+    # propagated exactly as without Krawczyk
+    csp = compile_problem(text)
+    engine = get_engine(order)
+    report, nodes = solve_by_node(csp, engine, eps=eps)
+    assert check_nodes_against_plain_fixpoints(csp, engine, nodes) >= 1
+    assert report.stats.krawczyk_steps >= report.stats.krawczyk_narrowed >= 1
+    assert report.stats.contractor_applications == sum(o.steps for _, outcomes in nodes for o in outcomes)
+
+
+@pytest.mark.parametrize(
+    "text,eps,applications,steps,narrowed,paths",
+    [
+        (broyden(4), 1e-8, 430, 7, 6, [""]),
+        (broyden(8), 1e-8, 1932, 8, 8, [""]),
+        (broyden(2, repeated=True), 1e-8, 253, 8, 7, [""]),
+        (QUARTIC_WIDE, 1e-10, 66, 12, 12, ["00", "11"]),
+    ],
+    ids=["broyden-4", "broyden-8", "broyden-2-repeated", "circle"],
+)
+def test_worklist_solve_counts_are_pinned(text, eps, applications, steps, narrowed, paths):
+    # any change to the budget policy, the operator or the restarts shows
+    # up here even when the enclosures stay the same
+    report = solve(compile_problem(text), eps=eps)
+    stats = report.stats
+    assert (stats.contractor_applications, stats.krawczyk_steps, stats.krawczyk_narrowed) == (applications, steps, narrowed)
+    assert [path for _, path in report.atomic_boxes] == paths
+
+
+def test_a_node_that_does_not_stall_never_meets_krawczyk():
+    # the diagonal is not square, and the hyperbola's nodes all reach their
+    # fixpoints within the first budget
+    for text in ("var x in [-2, 2]; var y in [-2, 2]; constraint x = y;", "var x; var y; constraint x*y = 1; constraint x = y;"):
+        report, nodes = solve_by_node(compile_problem(text), propagate_worklist, max_boxes=64)
+        assert report.stats.krawczyk_steps == 0
+        assert all(len(outcomes) == 1 for _, outcomes in nodes)
+
+
+class _Enough(Exception):
+    pass
+
+
+def test_budget_doubles_when_krawczyk_cannot_help():
+    # at a double root Krawczyk never narrows, so each restart gets twice the
+    # budget of the one before, starting from four applications per
+    # constraint
+    csp = compile_problem(DOUBLE_ROOT)
+    budgets = []
+
+    def engine(csp_, box, *, max_steps, **kwargs):
+        if len(budgets) == 4:
+            raise _Enough
+        budgets.append(max_steps)
+        return propagate_worklist(csp_, box, max_steps=max_steps, **kwargs)
+
+    with pytest.raises(_Enough):
+        solve(csp, engine=engine)
+    m = len(csp.constraints)
+    assert budgets == [4 * m, 8 * m, 16 * m, 32 * m]
+
+
+def test_a_node_shares_one_budget_across_restarts(monkeypatch):
+    # the double root never reaches its fixpoint, so it spends the whole
+    # budget, here cut to 1000 applications, over its restarts and raises
+    monkeypatch.setattr(search, "_NODE_BUDGET", 1000)
+    csp = compile_problem(DOUBLE_ROOT)
+    spent = []
+
+    def engine(csp_, box, **kwargs):
+        out = propagate_worklist(csp_, box, **kwargs)
+        spent.append(out.steps)
+        return out
+
+    with pytest.raises(RuntimeError, match="budget of 1000 contractor applications"):
+        solve(csp, engine=engine)
+    assert sum(spent) == 1000 and len(spent) > 1
+
+
+def test_stalled_status_is_returned_with_the_iterate():
+    csp = compile_problem(broyden(2))
+    out = propagate_worklist(csp, csp.initial_box, max_steps=10)
+    assert out.status is Status.STALLED
+    assert out.steps == 10
+    assert csp.initial_box.encloses(out.fixpoint)
+    assert out.fixpoint.encloses(propagate_worklist(csp, csp.initial_box).fixpoint)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 
 from boxprune import (
@@ -21,7 +22,19 @@ from boxprune import (
 )
 from boxprune.search import is_splittable
 
-from helpers import QUARTIC_UNIT, QUARTIC_WIDE, X_STAR, Y_STAR, box_bits, broyden, make_csp
+from helpers import (
+    QUARTIC_UNIT,
+    QUARTIC_WIDE,
+    X_STAR,
+    Y_STAR,
+    box_bits,
+    broyden,
+    broyden_root,
+    check_nodes_against_plain_fixpoints,
+    holds_point,
+    make_csp,
+    solve_by_node,
+)
 
 
 # Splitting.
@@ -233,20 +246,49 @@ def reference_solve(csp, eps, max_boxes, engine):
     return atomic, pruned, max_depth, False, split_var
 
 
+def _quartic_roots(signs):
+    with mpmath.workdps(40):
+        y = (mpmath.sqrt(5) - 1) / 2
+        return [{"x": sign * mpmath.sqrt(y), "y": y} for sign in signs]
+
+
+def _separable_roots():
+    with mpmath.workdps(40):
+        return [
+            {"x": sx * mpmath.sqrt(2), "y": (sy * mpmath.sqrt(5) - 1) / 2} for sx in (-1, 1) for sy in (-1, 1)
+        ]
+
+
+# name, text, eps, max_boxes, and for a search with nodes that stall, the
+# roots it must enclose
 SEARCHES = [
-    ("quartic-unit", QUARTIC_UNIT, 1e-10, 4096),
-    ("circle", QUARTIC_WIDE, 1e-10, 4096),
-    ("unit-circle-and-line", "var x in [-2, 2]; var y in [-2, 2]; constraint x^2 + y^2 = 1; constraint x = y;", 1e-10, 4096),
-    ("hyperbola", "var x; var y; constraint x*y = 1; constraint x = y;", 1e-10, 4096),
-    ("broyden-2-repeated", broyden(2, repeated=True), 1e-8, 4096),
-    ("separable", "var x in [-2, 2]; var y in [-2, 2]; constraint x^2 = 2; constraint y^2 + y = 1;", 1e-10, 4096),
-    ("diagonal", "var x in [-2, 2]; var y in [-2, 2]; constraint x = y;", 1e-10, 64),
+    ("quartic-unit", QUARTIC_UNIT, 1e-10, 4096, lambda report: _quartic_roots([1])),
+    ("circle", QUARTIC_WIDE, 1e-10, 4096, lambda report: _quartic_roots([-1, 1])),
+    ("unit-circle-and-line", "var x in [-2, 2]; var y in [-2, 2]; constraint x^2 + y^2 = 1; constraint x = y;", 1e-10, 4096, None),
+    ("hyperbola", "var x; var y; constraint x*y = 1; constraint x = y;", 1e-10, 4096, None),
+    (
+        "broyden-2-repeated",
+        broyden(2, repeated=True),
+        1e-8,
+        4096,
+        lambda report: [broyden_root(2, box) for box, _ in report.atomic_boxes],
+    ),
+    (
+        "separable",
+        "var x in [-2, 2]; var y in [-2, 2]; constraint x^2 = 2; constraint y^2 + y = 1;",
+        1e-10,
+        4096,
+        lambda report: _separable_roots(),
+    ),
+    ("diagonal", "var x in [-2, 2]; var y in [-2, 2]; constraint x = y;", 1e-10, 64, None),
 ]
+# Krawczyk finishes this root without the splits that propagation alone needs
+KRAWCZYK_PATHS = {"broyden-2-repeated": [""]}
 
 
 @pytest.mark.parametrize("order", ["worklist", "roundrobin", "random:7"])
-@pytest.mark.parametrize("text,eps,max_boxes", [s[1:] for s in SEARCHES], ids=[s[0] for s in SEARCHES])
-def test_solve_matches_a_search_that_propagates_every_node_from_all_constraints(text, eps, max_boxes, order):
+@pytest.mark.parametrize("name,text,eps,max_boxes,roots", SEARCHES, ids=[s[0] for s in SEARCHES])
+def test_solve_matches_a_search_that_propagates_every_node_from_all_constraints(name, text, eps, max_boxes, roots, order):
     csp = compile_problem(text)
     engine = get_engine(order)
     try:
@@ -254,14 +296,30 @@ def test_solve_matches_a_search_that_propagates_every_node_from_all_constraints(
     except BudgetExceeded as exc:
         report = exc.report
     atomic, pruned, max_depth, incomplete, split_var = reference_solve(csp, eps, max_boxes, engine)
-    assert [(box_bits(box), path) for box, path in report.atomic_boxes] == atomic
-    assert report.pruned_count == pruned
-    assert report.stats.max_depth == max_depth
+    if roots is None:
+        # no node stalls, so every node reaches the reference's very bits
+        assert [(box_bits(box), path) for box, path in report.atomic_boxes] == atomic
+        assert report.pruned_count == pruned
+        assert report.stats.max_depth == max_depth
+        assert report.stats.krawczyk_steps == 0
+    else:
+        # a node that stalls ends in a subset of the reference's fixpoint
+        # for its box, which may change a path below it
+        assert check_nodes_against_plain_fixpoints(csp, engine, solve_by_node(csp, engine, eps=eps)[1]) >= 1
+        paths = [path for _, path in report.atomic_boxes]
+        if name in KRAWCZYK_PATHS:
+            assert paths == KRAWCZYK_PATHS[name]
+        else:
+            assert paths == [path for _, path in atomic]
+            assert report.pruned_count == pruned
+            assert report.stats.max_depth == max_depth
+        for root in roots(report):
+            assert any(holds_point(box, root) for box, _ in report.atomic_boxes), root
     assert report.incomplete == incomplete
     # a child's schedule starts from the constraints watching the variable
     # its parent split, and leaves them only once one of them has changed
     # the box
-    slot = {name: i for i, name in enumerate(csp.names)}
+    slot = {v: i for i, v in enumerate(csp.names)}
     for path, trace in report.traces[1:]:
         assert trace, path
         watchers = csp.watchers[slot[split_var[path]]]
@@ -292,10 +350,20 @@ def test_solve_is_deterministic():
 
 
 def test_engine_choice_does_not_change_the_enclosures():
+    # the orders stall at different iterates, so Krawczyk steps may leave
+    # their enclosures an ulp apart, but the search tree is the same, each
+    # box holds its root, and each node ends inside its plain fixpoint
     csp = compile_problem(QUARTIC_WIDE)
-    with_worklist = solve(csp, eps=1e-10)
-    with_roundrobin = solve(csp, eps=1e-10, engine=propagate_roundrobin)
-    assert with_worklist.atomic_boxes == with_roundrobin.atomic_boxes
+    reports = []
+    for engine in (propagate_worklist, propagate_roundrobin):
+        report, nodes = solve_by_node(csp, engine, eps=1e-10)
+        check_nodes_against_plain_fixpoints(csp, engine, nodes)
+        assert len(report.atomic_boxes) == 2
+        for (box, _), root in zip(report.atomic_boxes, _quartic_roots([-1, 1])):
+            assert holds_point(box, root)
+        reports.append(report)
+    with_worklist, with_roundrobin = reports
+    assert [p for _, p in with_worklist.atomic_boxes] == [p for _, p in with_roundrobin.atomic_boxes]
     assert with_worklist.pruned_count == with_roundrobin.pruned_count
 
 
