@@ -1,11 +1,12 @@
 """Command-line driver: parse a problem file, solve it, print enclosures.
 
 Exit codes: 0 = enclosures emitted, 1 = proved infeasible (a success mode:
-the answer is "no solutions"), 2 = parse or usage error, 3 = atomic box
-budget exceeded (partial results are still printed, marked incomplete), or
-under --propagate-only, propagation stopped at its application budget short
-of a fixpoint (the sound iterate is printed), 4 = internal error (any
-other exception, reported as one line on stderr; nothing was proved).
+the answer is "no solutions"), 2 = parse or usage error, 3 = the atomic
+box budget or the search's application budget exceeded (partial results
+are still printed, marked incomplete with the budget named), or under
+--propagate-only, propagation stopped at its application budget short of
+a fixpoint (the sound iterate is printed), 4 = internal error (any other
+exception, reported as one line on stderr; nothing was proved).
 
 Output is deterministic: identical input and flags give byte-identical
 stdout. Timing is therefore never printed.
@@ -114,7 +115,7 @@ def render_report(
         for box, path in report.atomic_boxes:
             lines.append(f"box {path}: {_bindings_text(box, user_vars)}")
     if report.incomplete:
-        lines.append("incomplete: atomic box budget exceeded")
+        lines.append(f"incomplete: {report.exhausted} budget exceeded")
     lines.append(
         f"emitted {len(report.atomic_boxes)} boxes, pruned {report.pruned_count}, "
         f"contractor applications {report.stats.contractor_applications}"

@@ -33,7 +33,7 @@ from .boxes import Box, empty_box
 from .decompose import Add, Csp, ExprAst, Mul, Neg, Num, Pow, Sub, Var
 from .interval import _raw, add_bounds, mul_bounds, square_bounds, sub_bounds
 
-__all__ = ["is_square", "krawczyk"]
+__all__ = ["krawczyk"]
 
 # Bounds are (lo, hi) pairs.  A derivative is a dict from a user variable's
 # index to the bounds of the partial derivative; an index that is absent
@@ -171,7 +171,7 @@ def _inverse(a: list[list[float]]) -> list[list[float]] | None:
     return inverse
 
 
-def is_square(csp: Csp) -> bool:
+def _is_square(csp: Csp) -> bool:
     """Whether the system has as many source equations as user variables,
     at least one; only then can a Krawczyk step narrow a box."""
     return len(csp.source_equations) == len(csp.user_vars) > 0
@@ -186,7 +186,7 @@ def krawczyk(csp: Csp, box: Box) -> Box:
     that is not square, a box with an infinite or empty user bound, and a
     midpoint Jacobian with no float inverse.
     """
-    if not is_square(csp) or box.is_empty:
+    if not _is_square(csp) or box.is_empty:
         return box
     user_vars = csp.user_vars
     n = len(user_vars)

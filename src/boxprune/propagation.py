@@ -39,6 +39,7 @@ from collections import deque
 from collections.abc import Generator, Iterable
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable
 
 from .boxes import Box, empty_box
@@ -309,14 +310,5 @@ def get_engine(spec: str) -> Engine:
             seed = int(tail)
         except ValueError:
             raise ValueError(f"bad random seed {tail!r} in engine spec {spec!r}") from None
-        def engine(
-            csp: Csp,
-            box: Box,
-            *,
-            record_trace: bool = False,
-            max_steps: int = _DEFAULT_MAX_STEPS,
-            start: Iterable[int] | None = None,
-        ) -> PropagationOutcome:
-            return propagate_random(csp, box, seed, record_trace=record_trace, max_steps=max_steps, start=start)
-        return engine
+        return partial(propagate_random, seed=seed)
     raise ValueError(f"unknown propagation order {spec!r}")

@@ -15,22 +15,22 @@ from the split variable's watchers alone.  The greatest fixpoint below a
 box is unique, so this changes application counts and traces, and on a
 node that does not stall (below), never its fixpoint.
 
-A square system (as many source equations as user variables) runs each
-node's engine under an application budget, starting at four applications
-per constraint.  Propagation converges only linearly near many roots, so a
-run that stalls hands its iterate, a sound box, to the Krawczyk operator
-(boxprune.newton), which converges quadratically near a regular root; its
-steps repeat for as long as each halves the widest user variable.  The
-engine then restarts from the narrowed box and all constraints, since a
-stalled iterate is not a fixpoint of any of them.  The budget doubles each
-time Krawczyk fails to halve the widest user variable.  The node's box is
-then the greatest fixpoint below a box that Krawczyk narrowed, a subset of
-the plain fixpoint of the node by monotonicity, and it may differ between
-orders and start sets by an ulp.  A node that reaches its fixpoint within
-the first budget, and every node of a system that is not square, is
-propagated exactly as without Krawczyk.  A node's applications across
-restarts share one budget of 1,000,000, and a node that spends it raises
-RuntimeError.
+Each run of the engine gets four applications per constraint.
+Propagation converges only linearly near many roots, so a run may stall;
+its iterate is still a sound box.  It goes to the Krawczyk operator
+(boxprune.newton), which converges quadratically near a regular root, and
+whose steps repeat for as long as each halves the widest user variable.
+An empty result prunes the node.  A narrowed box is propagated again as
+the same node, from all constraints, since a stalled iterate is a fixpoint
+of none of them.  A box Krawczyk cannot narrow is undecided like any
+other: it is emitted if atomic and split otherwise, and both halves start
+from all constraints.  A node that reaches its fixpoint within its first
+run is propagated exactly as without Krawczyk.  Where a node stalls
+depends on the order and the start set, so orders may split such a node
+differently or end an ulp apart; each order's boxes hold every root.
+
+The whole search shares one budget of 1,000,000 applications; each run
+gets at most what is left of it.
 
 Split halves share their midpoint, so a solution sitting exactly on a cut
 can legitimately surface in two adjacent enclosures.
@@ -46,8 +46,8 @@ from .boxes import Box
 from .contractors import TraceRecord
 from .decompose import Csp
 from .interval import Interval, _raw
-from .newton import is_square, krawczyk
-from .propagation import Engine, PropagationOutcome, Status, propagate_worklist
+from .newton import krawczyk
+from .propagation import Engine, Status, propagate_worklist
 
 __all__ = [
     "SolveStatus",
@@ -60,8 +60,8 @@ __all__ = [
     "solve",
 ]
 
-# one node's applications, summed over the runs of its engine
-_NODE_BUDGET = 1_000_000
+# the applications of every run of the engine in one search
+_SEARCH_BUDGET = 1_000_000
 
 
 class SolveStatus(Enum):
@@ -88,30 +88,39 @@ class SolveReport:
 
     ``atomic_boxes`` lists (box, path) pairs in the order found, which for
     depth-first left-first search is lexicographic in path ('0' = left
-    half, '1' = right half, root = '').  ``pruned_boxes`` is populated only
-    when pruning was asked to keep its evidence; ``traces`` only when
-    per-node propagation traces were recorded.
+    half, '1' = right half, root = '').  ``exhausted`` names the budget
+    that stopped the search, "atomic box" or "contractor application",
+    and is None when the search finished.  ``pruned_boxes`` is populated
+    only when pruning was asked to keep its evidence (the box of the
+    node's last run); ``traces`` only when per-node propagation traces
+    were recorded.
     """
 
     atomic_boxes: tuple[tuple[Box, str], ...]
     pruned_count: int
     status: SolveStatus
     stats: SolveStats
-    incomplete: bool = False
+    exhausted: str | None = None
     pruned_boxes: tuple[tuple[Box, str], ...] | None = None
     traces: tuple[tuple[str, tuple[TraceRecord, ...]], ...] | None = None
 
+    @property
+    def incomplete(self) -> bool:
+        """Whether a budget ran out before the search finished."""
+        return self.exhausted is not None
+
 
 class BudgetExceeded(RuntimeError):
-    """Raised when one more atomic box would overflow max_boxes.
+    """Raised when one more atomic box would overflow max_boxes, or when
+    the search has spent its contractor applications.
 
     Carries the partial report (everything found so far, flagged
-    incomplete) so callers can still use it.
+    incomplete, with ``exhausted`` naming the budget) so callers can still
+    use it.
     """
 
-    def __init__(self, max_boxes: int, report: SolveReport):
-        super().__init__(f"atomic box budget of {max_boxes} exceeded; partial results kept")
-        self.max_boxes = max_boxes
+    def __init__(self, limit: int, report: SolveReport):
+        super().__init__(f"{report.exhausted} budget of {limit} exceeded; partial results kept")
         self.report = report
 
 
@@ -171,12 +180,14 @@ def solve(
 
     ``engine`` is called as ``engine(csp, box, record_trace=...,
     start=..., max_steps=...)``, once per node and again after each
-    Krawczyk step, with ``start`` None at the root and after a Krawczyk
-    step, and the split variable's watchers otherwise (see the propagation
-    engines).  A node's trace concatenates the traces of its runs.
-    Raises BudgetExceeded (carrying the partial report) rather than
-    emitting an atomic box beyond max_boxes, and RuntimeError when a node
-    spends 1,000,000 applications short of its fixpoint.
+    Krawczyk step that narrowed the node's box.  ``start`` is the split
+    variable's watchers for a child of a node that reached its fixpoint,
+    and None at the root, after a Krawczyk step and for a child of a node
+    that stalled (see the propagation engines).  A node's trace
+    concatenates the traces of its runs.  Raises BudgetExceeded, carrying
+    the partial report, rather than emitting an atomic box beyond
+    max_boxes or running the engine once the search has spent 1,000,000
+    applications.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -191,7 +202,7 @@ def solve(
     newton_steps = newton_narrowed = 0
     traces: list[tuple[str, tuple[TraceRecord, ...]]] = []
 
-    def report(incomplete: bool) -> SolveReport:
+    def report(exhausted: str | None = None) -> SolveReport:
         status = SolveStatus.INFEASIBLE if not atomic else SolveStatus.ENCLOSURES
         return SolveReport(
             atomic_boxes=tuple(atomic),
@@ -204,31 +215,43 @@ def solve(
                 krawczyk_steps=newton_steps,
                 krawczyk_narrowed=newton_narrowed,
             ),
-            incomplete=incomplete,
+            exhausted=exhausted,
             pruned_boxes=tuple(pruned) if keep_pruned else None,
             traces=tuple(traces) if record_trace else None,
         )
 
     by_name = tuple(sorted(csp.user_vars))
     watchers = dict(zip(csp.names, csp.watchers))
-    # Krawczyk cannot narrow a system that is not square, so its nodes get
-    # the whole budget at once
-    first_budget = 4 * len(csp.constraints) if is_square(csp) else _NODE_BUDGET
+    budget = _SEARCH_BUDGET
+    run_budget = 4 * len(csp.constraints)
     # a node's path is its depth and the integer whose low `depth` bits
     # spell the path; the string is built only for nodes the report keeps
     stack: list[tuple[int, int, Box, tuple[int, ...] | None]] = [(0, 0, csp.initial_box, None)]
     while stack:
         depth, bits, box, start = stack.pop()
+        if applications >= budget:
+            raise BudgetExceeded(budget, report("contractor application"))
         max_depth = max(max_depth, depth)
-        outcome = engine(csp, box, record_trace=record_trace, start=start, max_steps=first_budget)
-        if outcome.status is Status.STALLED:
-            outcome, tried, narrowed = _newton_restarts(csp, engine, outcome, by_name, first_budget, record_trace)
-            newton_steps += tried
-            newton_narrowed += narrowed
+        outcome = engine(csp, box, record_trace=record_trace, start=start, max_steps=min(run_budget, budget - applications))
         applications += outcome.steps
         if record_trace:
-            traces.append((_path(depth, bits), outcome.trace))
+            path = _path(depth, bits)
+            if traces and traces[-1][0] == path:
+                # a restart, popped right after the run it continues
+                traces[-1] = (path, traces[-1][1] + outcome.trace)
+            else:
+                traces.append((path, outcome.trace))
         fixpoint = outcome.fixpoint
+        stalled = outcome.status is Status.STALLED
+        if stalled:
+            narrowed, tried, n = _newton(csp, fixpoint, by_name)
+            newton_steps += tried
+            newton_narrowed += n
+            if narrowed is not fixpoint and not narrowed.is_empty:
+                # the same node again, from all constraints
+                stack.append((depth, bits, narrowed, None))
+                continue
+            fixpoint = narrowed
         if fixpoint.is_empty:
             pruned_count += 1
             if keep_pruned:
@@ -237,14 +260,15 @@ def solve(
         var = pick_split_var(fixpoint, by_name, eps)
         if var is None:
             if len(atomic) >= max_boxes:
-                raise BudgetExceeded(max_boxes, report(incomplete=True))
+                raise BudgetExceeded(max_boxes, report("atomic box"))
             atomic.append((fixpoint, _path(depth, bits)))
             continue
         left, right = split(fixpoint, var)
-        start = watchers[var]
+        # a stalled iterate is a fixpoint of no constraint
+        start = None if stalled else watchers[var]
         stack.append((depth + 1, bits << 1 | 1, right, start))
         stack.append((depth + 1, bits << 1, left, start))
-    return report(incomplete=False)
+    return report()
 
 
 def _widest(box: Box, names: tuple[str, ...]) -> float:
@@ -265,39 +289,6 @@ def _newton(csp: Csp, box: Box, names: tuple[str, ...]) -> tuple[Box, int, int]:
         if step.is_empty or not _widest(step, names) <= 0.5 * _widest(box, names):
             return step, steps, narrowing
         box = step
-
-
-def _newton_restarts(
-    csp: Csp, engine: Engine, outcome: PropagationOutcome, names: tuple[str, ...], budget: int, record_trace: bool
-) -> tuple[PropagationOutcome, int, int]:
-    """Carry a node whose run stalled under ``budget`` to its fixpoint.
-
-    Alternates Krawczyk steps with runs of the engine from all constraints,
-    doubling the budget whenever the steps fail to halve the widest of
-    ``names``.  Returns the node's outcome over all its runs, the Krawczyk
-    steps and the steps that narrowed.
-    """
-    steps, effective = outcome.steps, outcome.effective_steps
-    trace = list(outcome.trace) if record_trace else None
-    tried = narrowed = 0
-    while outcome.status is Status.STALLED:
-        if steps >= _NODE_BUDGET:
-            raise RuntimeError(f"propagation exceeded its budget of {_NODE_BUDGET} contractor applications")
-        box, k, n = _newton(csp, outcome.fixpoint, names)
-        tried += k
-        narrowed += n
-        if box.is_empty:
-            outcome = PropagationOutcome(box, Status.PROVED_EMPTY, 0, 0)
-            break
-        if not _widest(box, names) <= 0.5 * _widest(outcome.fixpoint, names):
-            budget *= 2
-        outcome = engine(csp, box, record_trace=record_trace, start=None, max_steps=min(budget, _NODE_BUDGET - steps))
-        steps += outcome.steps
-        effective += outcome.effective_steps
-        if record_trace:
-            trace += outcome.trace
-    whole = PropagationOutcome(outcome.fixpoint, outcome.status, steps, effective, None if trace is None else tuple(trace))
-    return whole, tried, narrowed
 
 
 def _path(depth: int, bits: int) -> str:

@@ -28,6 +28,7 @@ from boxprune import (
     empty_box,
     solve,
 )
+from boxprune import search
 
 # Positive root of x^4 + x^2 = 1, i.e. x = sqrt((sqrt(5) - 1) / 2).
 # Frozen from bisect_root; the correctly rounded root is X_STAR_DOWN,
@@ -492,11 +493,13 @@ def solve_by_node(csp: Csp, engine, **solve_kwargs):
     """Solve with an engine that records its runs, and group the runs by
     search node.
 
-    A node's first run starts from the node's box; every further run of the
-    same node is a restart after a Krawczyk step, which solve makes with
-    ``start=None``, while a new node below the root always gets a start
-    set.  Returns the report (the partial one if the box budget ran out)
-    and, per node, its box and the outcomes of its runs in order.
+    A node's first run starts from the node's box.  A further run of the
+    same node follows a run that stalled, from the box that Krawczyk steps
+    narrowed the stalled iterate to, with ``start=None``.  Any other run
+    with ``start=None`` is a new node: the root, or a half of a stalled
+    iterate that Krawczyk could not narrow, which is checked here.  Returns
+    the report (the partial one if a budget ran out) and, per node, its box
+    and the outcomes of its runs in order.
     """
     runs = []
 
@@ -509,11 +512,28 @@ def solve_by_node(csp: Csp, engine, **solve_kwargs):
         report = solve(csp, engine=recording, **solve_kwargs)
     except BudgetExceeded as exc:
         report = exc.report
+    names = tuple(sorted(csp.user_vars))
+    eps = solve_kwargs.get("eps", 1e-10)
+    # the box a restart of the last run would start from, and the halves of
+    # every stalled iterate Krawczyk could not narrow
+    restart_box = None
+    halves = set()
     nodes = []
     for box, start, outcome in runs:
-        if not nodes or start is not None:
+        restart = restart_box is not None and box_bits(box) == box_bits(restart_box)
+        if start is None and nodes:
+            assert restart or box_bits(box) in halves, box
+        if not restart:
             nodes.append((box, []))
         nodes[-1][1].append(outcome)
+        restart_box = None
+        if outcome.status is Status.STALLED:
+            narrowed = search._newton(csp, outcome.fixpoint, names)[0]
+            var = search.pick_split_var(narrowed, names, eps)
+            if narrowed is not outcome.fixpoint:
+                restart_box = narrowed
+            elif var is not None:
+                halves.update(box_bits(half) for half in search.split(narrowed, var))
     return report, nodes
 
 
@@ -521,16 +541,23 @@ def check_nodes_against_plain_fixpoints(csp: Csp, engine, nodes) -> int:
     """Each node's final box is a subset of the plain fixpoint of the box it
     started from (one run of ``engine`` from all constraints), and equal to
     it bit for bit when the node's first run reached its fixpoint.  A node
-    whose last run stalled was emptied by a Krawczyk step.  Returns the
-    number of nodes that stalled."""
+    whose last run stalled was either emptied by Krawczyk steps, or left
+    undecided, split or emitted as the stalled iterate, which is no
+    fixpoint and is not compared; the halves of a split are nodes of their
+    own.  Returns the number of nodes that stalled."""
+    names = tuple(sorted(csp.user_vars))
     stalled = 0
     for box, outcomes in nodes:
         plain = engine(csp, box).fixpoint
         last = outcomes[-1]
-        final = empty_box(box.names) if last.status is Status.STALLED else last.fixpoint
         if len(outcomes) == 1 and last.status is not Status.STALLED:
-            assert box_bits(final) == box_bits(plain)
-        else:
-            stalled += 1
-            assert plain.encloses(final), (box, final, plain)
+            assert box_bits(last.fixpoint) == box_bits(plain)
+            continue
+        stalled += 1
+        final = last.fixpoint
+        if last.status is Status.STALLED:
+            final = search._newton(csp, final, names)[0]
+            if not final.is_empty:
+                continue
+        assert plain.encloses(final), (box, final, plain)
     return stalled

@@ -13,7 +13,7 @@ import mpmath
 import pytest
 
 import boxprune
-from boxprune import cli, compile_problem, solve
+from boxprune import cli, compile_problem, search, solve
 from boxprune.cli import main
 from boxprune.decompose import MAX_DEPTH
 
@@ -106,6 +106,54 @@ def test_budget_exhaustion_json(problem_file, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["incomplete"] is True
     assert len(obj["boxes"]) == 1
+
+
+def test_application_budget_exhaustion_exits_3(problem_file, capsys, monkeypatch):
+    # 1 + a = 3 + a has no solution, but propagation walks a's lower bound
+    # up only 2 at a time, so the search runs out of applications, here
+    # cut to 1000
+    monkeypatch.setattr(search, "_SEARCH_BUDGET", 1000)
+    path = problem_file("var a in [4, 1e300]; constraint 1 + a = 3 + a;")
+    assert main([path]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == "incomplete: contractor application budget exceeded"
+    assert lines[-1].startswith("emitted 0 boxes, pruned ")
+    assert lines[-1].endswith(", contractor applications 1000")
+    assert main([path, "--format", "json"]) == 3
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["incomplete"] is True
+    assert obj["stats"]["contractor_applications"] == 1000
+
+
+@pytest.mark.parametrize(
+    "text,root",
+    [
+        ("var x in [0,3]; constraint x^2 - 2*x + 1 = 0;", lambda: {"x": mpmath.mpf(1)}),
+        (
+            "var x in [-2, 2]; var y in [-2, 2]; constraint x^2 + y^2 = 1; constraint x + y = 1.4142135623730951;",
+            lambda: {"x": mpmath.sqrt(2) / 2, "y": mpmath.sqrt(2) / 2},
+        ),
+    ],
+    ids=["double-root", "tangent-circle"],
+)
+def test_double_roots_are_enclosed(problem_file, text, root):
+    # propagation converges only linearly to a double root and Krawczyk
+    # cannot narrow around it, so the search splits the stalled boxes until
+    # they are atomic; the timeout turns a runaway search into a failure
+    path = problem_file(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(boxprune.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "boxprune.cli", "--format", "json", path], env=env, capture_output=True, text=True, timeout=20
+    )
+    assert done.returncode == 0, done.stderr
+    obj = json.loads(done.stdout)
+    assert not obj["incomplete"]
+    with mpmath.workdps(40):
+        point = root()
+        assert any(
+            all(mpmath.mpf(box["bindings"][v][0]) <= c <= mpmath.mpf(box["bindings"][v][1]) for v, c in point.items())
+            for box in obj["boxes"]
+        )
 
 
 def test_propagate_only(problem_file, capsys):

@@ -216,16 +216,18 @@ def test_every_stalled_node_ends_inside_its_plain_fixpoint(text, eps, order):
 @pytest.mark.parametrize(
     "text,eps,applications,steps,narrowed,paths",
     [
-        (broyden(4), 1e-8, 430, 7, 6, [""]),
-        (broyden(8), 1e-8, 1932, 8, 8, [""]),
-        (broyden(2, repeated=True), 1e-8, 253, 8, 7, [""]),
+        # worklist stalls n = 4 at a box Krawczyk cannot narrow, whose
+        # right half is pruned
+        (broyden(4), 1e-8, 351, 8, 6, ["0"]),
+        (broyden(8), 1e-8, 1140, 10, 9, [""]),
+        (broyden(2, repeated=True), 1e-8, 253, 8, 8, [""]),
         (QUARTIC_WIDE, 1e-10, 66, 12, 12, ["00", "11"]),
     ],
     ids=["broyden-4", "broyden-8", "broyden-2-repeated", "circle"],
 )
 def test_worklist_solve_counts_are_pinned(text, eps, applications, steps, narrowed, paths):
-    # any change to the budget policy, the operator or the restarts shows
-    # up here even when the enclosures stay the same
+    # any change to the budget policy, the operator or the handling of a
+    # stall shows up here even when the enclosures stay the same
     report = solve(compile_problem(text), eps=eps)
     stats = report.stats
     assert (stats.contractor_applications, stats.krawczyk_steps, stats.krawczyk_narrowed) == (applications, steps, narrowed)
@@ -241,34 +243,45 @@ def test_a_node_that_does_not_stall_never_meets_krawczyk():
         assert all(len(outcomes) == 1 for _, outcomes in nodes)
 
 
-class _Enough(Exception):
-    pass
-
-
-def test_budget_doubles_when_krawczyk_cannot_help():
-    # at a double root Krawczyk never narrows, so each restart gets twice the
-    # budget of the one before, starting from four applications per
-    # constraint
+def test_a_stalled_node_krawczyk_cannot_narrow_is_split():
+    # at a double root propagation stalls, and Krawczyk cannot narrow a box
+    # around the root, so the stalled iterate is split, and both halves
+    # start from all constraints, each with the same budget of four
+    # applications per constraint
     csp = compile_problem(DOUBLE_ROOT)
-    budgets = []
+    runs = []
 
-    def engine(csp_, box, *, max_steps, **kwargs):
-        if len(budgets) == 4:
-            raise _Enough
-        budgets.append(max_steps)
-        return propagate_worklist(csp_, box, max_steps=max_steps, **kwargs)
+    def engine(csp_, box, **kwargs):
+        out = propagate_worklist(csp_, box, **kwargs)
+        runs.append((box, kwargs, out))
+        return out
 
-    with pytest.raises(_Enough):
-        solve(csp, engine=engine)
+    report = solve(csp, engine=engine)
     m = len(csp.constraints)
-    assert budgets == [4 * m, 8 * m, 16 * m, 32 * m]
+    assert all(kwargs["max_steps"] == 4 * m for _, kwargs, _ in runs)
+    undecided = [
+        i
+        for i, (_, _, out) in enumerate(runs)
+        if out.status is Status.STALLED and krawczyk(csp, out.fixpoint) is out.fixpoint
+    ]
+    assert undecided
+    i = undecided[0]
+    iterate = runs[i][2].fixpoint
+    left, right = search.split(iterate, search.pick_split_var(iterate, csp.user_vars, 1e-10))
+    # depth first: the left half runs next, the right half once the left
+    # subtree is done
+    assert runs[i + 1][0] == left and runs[i + 1][1]["start"] is None
+    later = [kwargs for box, kwargs, _ in runs[i + 2 :] if box == right]
+    assert len(later) == 1 and later[0]["start"] is None
+    assert any(holds_point(box, {"x": 1.0}) for box, _ in report.atomic_boxes)
 
 
-def test_a_node_shares_one_budget_across_restarts(monkeypatch):
-    # the double root never reaches its fixpoint, so it spends the whole
-    # budget, here cut to 1000 applications, over its restarts and raises
-    monkeypatch.setattr(search, "_NODE_BUDGET", 1000)
-    csp = compile_problem(DOUBLE_ROOT)
+def test_the_search_shares_one_application_budget(monkeypatch):
+    # 1 + a = 3 + a has no solution, but propagation only walks a's lower
+    # bound up by 2 per pair of applications, so the search spends its
+    # whole budget, here cut to 1000 applications, on splits and raises
+    monkeypatch.setattr(search, "_SEARCH_BUDGET", 1000)
+    csp = compile_problem("var a in [4, 1e300]; constraint 1 + a = 3 + a;")
     spent = []
 
     def engine(csp_, box, **kwargs):
@@ -276,9 +289,12 @@ def test_a_node_shares_one_budget_across_restarts(monkeypatch):
         spent.append(out.steps)
         return out
 
-    with pytest.raises(RuntimeError, match="budget of 1000 contractor applications"):
+    with pytest.raises(search.BudgetExceeded, match="contractor application budget of 1000") as exc:
         solve(csp, engine=engine)
-    assert sum(spent) == 1000 and len(spent) > 1
+    report = exc.value.report
+    assert report.incomplete and report.exhausted == "contractor application"
+    assert sum(spent) == report.stats.contractor_applications == 1000
+    assert len(spent) > 1
 
 
 def test_stalled_status_is_returned_with_the_iterate():

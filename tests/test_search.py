@@ -4,6 +4,8 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from boxprune import (
     Box,
@@ -12,6 +14,7 @@ from boxprune import (
     FULL,
     Interval,
     SolveStatus,
+    Status,
     compile_problem,
     get_engine,
     pick_split_var,
@@ -20,6 +23,7 @@ from boxprune import (
     solve,
     split,
 )
+from boxprune import search
 from boxprune.search import is_splittable
 
 from helpers import (
@@ -282,8 +286,9 @@ SEARCHES = [
     ),
     ("diagonal", "var x in [-2, 2]; var y in [-2, 2]; constraint x = y;", 1e-10, 64, None),
 ]
-# Krawczyk finishes this root without the splits that propagation alone needs
-KRAWCZYK_PATHS = {"broyden-2-repeated": [""]}
+# Krawczyk finishes this root without the splits that propagation alone
+# needs; roundrobin stalls once at a box Krawczyk cannot narrow and splits it
+KRAWCZYK_PATHS = {"broyden-2-repeated": {"worklist": [""], "roundrobin": ["0"], "random:7": [""]}}
 
 
 @pytest.mark.parametrize("order", ["worklist", "roundrobin", "random:7"])
@@ -291,10 +296,7 @@ KRAWCZYK_PATHS = {"broyden-2-repeated": [""]}
 def test_solve_matches_a_search_that_propagates_every_node_from_all_constraints(name, text, eps, max_boxes, roots, order):
     csp = compile_problem(text)
     engine = get_engine(order)
-    try:
-        report = solve(csp, eps=eps, max_boxes=max_boxes, engine=engine, record_trace=True)
-    except BudgetExceeded as exc:
-        report = exc.report
+    report, nodes = solve_by_node(csp, engine, eps=eps, max_boxes=max_boxes, record_trace=True)
     atomic, pruned, max_depth, incomplete, split_var = reference_solve(csp, eps, max_boxes, engine)
     if roots is None:
         # no node stalls, so every node reaches the reference's very bits
@@ -304,11 +306,12 @@ def test_solve_matches_a_search_that_propagates_every_node_from_all_constraints(
         assert report.stats.krawczyk_steps == 0
     else:
         # a node that stalls ends in a subset of the reference's fixpoint
-        # for its box, which may change a path below it
-        assert check_nodes_against_plain_fixpoints(csp, engine, solve_by_node(csp, engine, eps=eps)[1]) >= 1
+        # for its box, or is split where it stalled, which may change a
+        # path below it
+        assert check_nodes_against_plain_fixpoints(csp, engine, nodes) >= 1
         paths = [path for _, path in report.atomic_boxes]
         if name in KRAWCZYK_PATHS:
-            assert paths == KRAWCZYK_PATHS[name]
+            assert paths == KRAWCZYK_PATHS[name][order]
         else:
             assert paths == [path for _, path in atomic]
             assert report.pruned_count == pruned
@@ -316,12 +319,20 @@ def test_solve_matches_a_search_that_propagates_every_node_from_all_constraints(
         for root in roots(report):
             assert any(holds_point(box, root) for box, _ in report.atomic_boxes), root
     assert report.incomplete == incomplete
-    # a child's schedule starts from the constraints watching the variable
-    # its parent split, and leaves them only once one of them has changed
-    # the box
+    # one trace entry per node, holding the records of all its runs.  A
+    # child of a node that reached its fixpoint starts its schedule from
+    # the constraints watching the variable its parent split, and leaves
+    # them only once one of them has changed the box; a child of a node
+    # that stalled starts from all constraints
+    assert len(report.traces) == len(nodes)
+    for (_, trace), (_, outcomes) in zip(report.traces, nodes):
+        assert len(trace) == sum(out.steps for out in outcomes)
+    stalled = {path for (path, _), (_, outcomes) in zip(report.traces, nodes) if outcomes[-1].status is Status.STALLED}
     slot = {v: i for i, v in enumerate(csp.names)}
     for path, trace in report.traces[1:]:
         assert trace, path
+        if path[:-1] in stalled:
+            continue
         watchers = csp.watchers[slot[split_var[path]]]
         for record in trace:
             assert record.cid in watchers, path
@@ -335,8 +346,8 @@ def test_budget_exceeded_carries_partial_report():
     with pytest.raises(BudgetExceeded) as exc:
         solve(csp, eps=1e-10, max_boxes=1)
     err = exc.value
-    assert err.max_boxes == 1
-    assert err.report.incomplete
+    assert str(err).startswith("atomic box budget of 1 exceeded")
+    assert err.report.incomplete and err.report.exhausted == "atomic box"
     assert len(err.report.atomic_boxes) == 1
     # the partial run is a prefix of the full run
     assert err.report.atomic_boxes == full.atomic_boxes[:1]
@@ -412,3 +423,60 @@ def test_parameter_validation():
         solve(csp, eps=-1e-3)
     with pytest.raises(ValueError, match="max_boxes"):
         solve(csp, max_boxes=0)
+
+
+# Fuzzing the whole pipeline over the problem grammar of acceptance
+# criterion 9, widened to infinite and 1e+-300 bounds and literals.
+
+_LOWER = st.sampled_from(["-inf", "-1e300", "-4", "-2", "-1", "0", "1e-300", "1", "4"])
+_UPPER = st.sampled_from(["-4", "-1", "0", "1e-300", "1", "2", "4", "1e300", "inf"])
+_LITERALS = ("0", "1", "2", "3", "0.5", "0.25", "1.5", "1e-300", "1e300")
+
+
+@st.composite
+def _systems(draw) -> str:
+    names = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    decls = []
+    for name in sorted(names):
+        lo, hi = sorted((draw(_LOWER), draw(_UPPER)), key=float)
+        decls.append(f"var {name} in [{lo}, {hi}];")
+    atom = st.sampled_from(names) | st.sampled_from(_LITERALS)
+
+    def expr(depth: int) -> str:
+        op = draw(st.integers(0, 5)) if depth else 5
+        if op < 3:
+            return f"{expr(depth - 1)} {'+-*'[op]} {expr(depth - 1)}"
+        if op == 3:
+            return f"{draw(atom)}^2"
+        if op == 4:
+            return f"-{draw(atom)}"
+        return draw(atom)
+
+    count = draw(st.integers(1, 3))
+    equations = [f"constraint {expr(draw(st.integers(1, 3)))} = {expr(draw(st.integers(0, 1)))};" for _ in range(count)]
+    return " ".join(decls + equations)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_systems())
+# each of these ran its node past 1,000,000 applications, or for more
+# than 10 s, when a node had a budget of its own
+@example("var a in [-1e300, 0]; var b in [-1e300, -4]; var c in [-inf, -4]; constraint c + b + 0 + a = b;")
+@example("var a in [-inf, inf]; constraint -3 + a - 1e-300 = a;")
+@example("var a in [-1, 0]; var b in [-1e300, -4]; constraint b * a + b = 1;")
+@example("var a in [4, 1e300]; constraint 1 + a = 3 + a;")
+def test_fuzzed_systems_solve_or_run_out_of_budget(text):
+    # with the application budget cut to 2,000, every search ends fast:
+    # it finishes, or stops at one of its budgets with an incomplete report
+    csp = compile_problem(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_SEARCH_BUDGET", 2000)
+        try:
+            report = solve(csp, eps=1e-6, max_boxes=64)
+        except BudgetExceeded as exc:
+            report = exc.report
+            assert report.exhausted in ("atomic box", "contractor application")
+        else:
+            assert not report.incomplete
+    assert report.stats.contractor_applications <= 2000
+    assert len(report.atomic_boxes) <= 64
