@@ -8,7 +8,7 @@ All arithmetic is outward-rounded, so emitted enclosures are guaranteed to
 contain every real solution of the input system.
 """
 
-from .boxes import Box, box_hull, empty_box, top_box
+from .boxes import Box, box_hull, empty_box
 from .contractors import (
     Constraint,
     TraceRecord,
@@ -34,7 +34,6 @@ from .oracle import GridSpec, bisect_root, extend_assignment, grid_solutions
 from .propagation import (
     PropagationOutcome,
     Status,
-    gamma_power,
     get_engine,
     propagate_random,
     propagate_roundrobin,
@@ -57,7 +56,6 @@ __all__ = [
     "EMPTY",
     "FULL",
     "Box",
-    "top_box",
     "empty_box",
     "box_hull",
     "Constraint",
@@ -80,7 +78,6 @@ __all__ = [
     "propagate_roundrobin",
     "propagate_worklist",
     "propagate_random",
-    "gamma_power",
     "get_engine",
     "krawczyk",
     "SolveReport",

@@ -5,6 +5,11 @@ fixed scope of variables.  If any component is empty the whole product is
 the empty relation over that scope; construction normalizes every component
 to the canonical empty interval so all empty boxes over a scope compare
 equal.  Iteration and rendering are always in lexicographic variable order.
+
+A box is its bound lists: a name -> slot map in name order, shared by the
+boxes of one Csp, and the lower and upper bounds by slot, which the engines,
+the search and the Krawczyk step work on directly.  No list is changed once
+a box owns it, so boxes may share them.  Intervals are built on request.
 """
 
 from __future__ import annotations
@@ -12,97 +17,109 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping
 from typing import Union
 
-from .interval import EMPTY, FULL, Interval
+from .interval import _INF, EMPTY, FULL, Interval, _fmt, _raw
 
 VarName = str
 
-__all__ = ["VarName", "Box", "box_hull", "top_box", "empty_box"]
+__all__ = ["VarName", "Box", "box_hull", "empty_box"]
 
 
 class Box:
-    __slots__ = ("_ivs",)
+    __slots__ = ("_slot", "_lo", "_hi")
 
     def __init__(self, bindings: Union[Mapping[str, Interval], Iterable[tuple[str, Interval]]]):
         items = dict(bindings)
-        if any(iv.is_empty for iv in items.values()):
-            items = {v: EMPTY for v in items}
-        self._ivs: dict[str, Interval] = {v: items[v] for v in sorted(items)}
+        names = sorted(items)
+        ivs = [items[v] for v in names]
+        if any(iv.is_empty for iv in ivs):
+            ivs = [EMPTY] * len(ivs)
+        self._slot: dict[str, int] = {v: s for s, v in enumerate(names)}
+        self._lo: list[float] = [iv.lo for iv in ivs]
+        self._hi: list[float] = [iv.hi for iv in ivs]
 
     @classmethod
-    def _from_sorted(cls, ivs: dict[str, Interval]) -> "Box":
-        """Internal: adopt an already-sorted, already-normalized mapping."""
+    def _adopt(cls, slot: dict[str, int], lo: list[float], hi: list[float]) -> "Box":
+        """Internal: a box over the name-ordered map ``slot`` that owns the
+        canonical bound lists ``lo`` and ``hi``; nobody changes them after."""
         box = object.__new__(cls)
-        box._ivs = ivs
+        box._slot, box._lo, box._hi = slot, lo, hi
         return box
+
+    def _emptied(self) -> "Box":
+        """Internal: the empty box over this box's map."""
+        n = len(self._slot)
+        return Box._adopt(self._slot, [_INF] * n, [-_INF] * n)
 
     @property
     def scope(self) -> frozenset[str]:
-        return frozenset(self._ivs)
+        return frozenset(self._slot)
 
     @property
     def names(self) -> tuple[str, ...]:
         """Variables in lexicographic order."""
-        return tuple(self._ivs)
+        return tuple(self._slot)
 
     @property
     def is_empty(self) -> bool:
         # construction empties every component when any one is empty, so
         # checking a single component suffices
-        for iv in self._ivs.values():
-            return iv.lo > iv.hi
-        return False
+        return bool(self._lo) and self._lo[0] > self._hi[0]
 
     def __getitem__(self, var: str) -> Interval:
-        return self._ivs[var]
+        s = self._slot[var]
+        lo = self._lo[s]
+        hi = self._hi[s]
+        return EMPTY if lo > hi else _raw(lo, hi)
 
     def get(self, var: str, default: Interval | None = None) -> Interval | None:
-        return self._ivs.get(var, default)
+        return self[var] if var in self._slot else default
 
     def __contains__(self, var: object) -> bool:
-        return var in self._ivs
+        return var in self._slot
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._ivs)
+        return iter(self._slot)
 
     def __len__(self) -> int:
-        return len(self._ivs)
+        return len(self._slot)
 
-    def items(self) -> Iterable[tuple[str, Interval]]:
-        return self._ivs.items()
+    def items(self) -> list[tuple[str, Interval]]:
+        return [(v, self[v]) for v in self._slot]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Box):
             return NotImplemented
-        return self._ivs == other._ivs
+        # both maps are in name order, so equal key sets mean equal maps
+        return self._lo == other._lo and self._hi == other._hi and self._slot.keys() == other._slot.keys()
 
     def __hash__(self) -> int:
-        return hash(tuple(self._ivs.items()))
+        return hash((tuple(self._slot), tuple(self._lo), tuple(self._hi)))
 
     def __repr__(self) -> str:
-        return f"Box({self._ivs!r})"
+        return f"Box({dict(self.items())!r})"
 
     def __str__(self) -> str:
-        inner = ", ".join(f"{v}={iv}" for v, iv in self._ivs.items())
+        inner = ", ".join(f"{v}={_fmt(lo, hi)}" for v, lo, hi in zip(self._slot, self._lo, self._hi))
         return "{" + inner + "}"
 
     def project(self, variables: Iterable[str]) -> "Box":
         """Restrict to a subset of the scope."""
         vs = tuple(variables)
-        missing = [v for v in vs if v not in self._ivs]
+        missing = [v for v in vs if v not in self._slot]
         if missing:
             raise ValueError(f"projection outside scope: {missing}")
-        return Box({v: self._ivs[v] for v in vs})
+        return Box({v: self[v] for v in vs})
 
     def cylinder(self, variables: Iterable[str]) -> "Box":
         """Extend to a superset of the scope; new variables are unconstrained."""
         vs = set(variables)
         if not vs >= self.scope:
             raise ValueError("cylinder target must be a superset of the scope")
-        return Box({v: self._ivs.get(v, FULL) for v in vs})
+        return Box({v: self.get(v, FULL) for v in vs})
 
     def join(self, other: "Box") -> "Box":
         """Intersection of the two products over the union of scopes."""
-        merged = dict(self._ivs)
+        merged = dict(self.items())
         for v, iv in other.items():
             cur = merged.get(v)
             merged[v] = iv if cur is None else cur.intersect(iv)
@@ -112,11 +129,11 @@ class Box:
         """True if `other` is a componentwise subset (same scope required)."""
         if self.scope != other.scope:
             raise ValueError("enclosure comparison requires equal scopes")
-        return all(other[v].is_subset(iv) for v, iv in self._ivs.items())
+        return all(other[v].is_subset(iv) for v, iv in self.items())
 
     def with_intervals(self, update: Mapping[str, Interval]) -> "Box":
         """Functional update of some components."""
-        merged = dict(self._ivs)
+        merged = dict(self.items())
         merged.update(update)
         return Box(merged)
 
@@ -128,7 +145,7 @@ class Box:
         """
         if self.is_empty:
             return None
-        return {v: [_json_bound(iv.lo), _json_bound(iv.hi)] for v, iv in self._ivs.items()}
+        return {v: [_json_bound(self._lo[s]), _json_bound(self._hi[s])] for v, s in self._slot.items()}
 
 
 def _json_bound(x: float):
@@ -153,10 +170,6 @@ def box_hull(boxes: Iterable[Box]) -> Box:
         for v in hulls:
             hulls[v] = hulls[v].hull(b[v])
     return Box(hulls)
-
-
-def top_box(variables: Iterable[str]) -> Box:
-    return Box({v: FULL for v in variables})
 
 
 def empty_box(variables: Iterable[str]) -> Box:

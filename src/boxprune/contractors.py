@@ -8,8 +8,9 @@ box, discarding no solution (correctness) and never growing an interval
 The rules live in one float-level kernel per relation, which narrows bounds
 in place on two float lists indexed by variable slot; ``lift`` compiles a
 constraint against a slot numbering for the propagation loop.  The
-``contract_*`` functions and ``apply_lifted`` (a contractor on a full box)
-are thin wrappers that move Interval bounds into and out of those lists.
+``contract_*`` functions are thin wrappers that move Interval bounds into
+and out of those lists, and ``apply_lifted`` (a contractor on a full box)
+runs the kernel on copies of the box's own bound lists.
 A constraint that repeats a variable denotes another relation over its
 distinct variables, such as x^2 = z for x * x = z, and ``lift`` compiles
 it to that relation's kernel, so each application runs one kernel once.
@@ -22,7 +23,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .boxes import Box, empty_box
+from .boxes import Box
 # add, sub, mul, square and sqrt_outer are not called here; they stay names
 # of this module because perfbench/tracing.py counts calls through them
 from .interval import (  # noqa: F401
@@ -468,26 +469,19 @@ def apply_lifted(con: Constraint, box: Box) -> Box:
     denotes (see ``lift``), so e.g. sq(x, x) narrows x to the hull of the
     points of {0, 1} inside the box.
     """
-    bivs = box._ivs
     try:
-        ivs = [bivs[v] for v in con.variables]
+        lifted = lift(con, box._slot)
     except KeyError as missing:
         raise ValueError(f"constraint variable {missing.args[0]!r} outside box scope") from None
-    # an empty box has every component empty, so one slot tells
-    if ivs[0].lo > ivs[0].hi:
+    if box.is_empty:
         return box
-    lifted = lift(con, {v: p for p, v in enumerate(con.variables)})
-    lo = [iv.lo for iv in ivs]
-    hi = [iv.hi for iv in ivs]
+    lo, hi = box._lo[:], box._hi[:]
     m = lifted.kernel(lo, hi, lifted.args, lifted.value)
     if m == 0:
         return box
     if m < 0:
-        return empty_box(box.names)
-    nivs = dict(bivs)
-    for p in lifted.shrunk[m]:
-        nivs[con.variables[p]] = _raw(lo[p], hi[p])
-    return Box._from_sorted(nivs)
+        return box._emptied()
+    return Box._adopt(box._slot, lo, hi)
 
 
 def big_gamma(csp, box: Box) -> Box:

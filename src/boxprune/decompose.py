@@ -137,17 +137,19 @@ def _text_fraction(text: str) -> Fraction:
 
 def _float_le(frac: Fraction) -> float:
     """Greatest float <= frac."""
-    v = float(frac)
+    try:
+        v = float(frac)
+    except OverflowError:
+        # beyond the float range
+        v = math.inf if frac > 0 else -math.inf
     if math.isinf(v):
         return math.nextafter(v, -math.inf) if v > 0 else v
     return v if Fraction(v) <= frac else math.nextafter(v, -math.inf)
 
 
 def _float_ge(frac: Fraction) -> float:
-    v = float(frac)
-    if math.isinf(v):
-        return math.nextafter(v, math.inf) if v < 0 else v
-    return v if Fraction(v) >= frac else math.nextafter(v, math.inf)
+    """Least float >= frac."""
+    return -_float_le(-frac) + 0.0
 
 
 # Tokenizer.
@@ -420,13 +422,16 @@ class Csp:
 
     The system is compiled once at construction for the propagation loop.
     ``names`` holds the variables in name order, and a variable's position
-    there is its slot.  ``watchers[slot]`` holds the ascending ids of the
-    constraints mentioning that variable, and ``lifted[cid]`` is constraint
-    cid compiled against the slots (``contractors.lift``).  ``jacobian``
-    is None until ``newton.krawczyk`` first needs the source equations'
-    derivatives, and then holds them compiled.  Construction
-    raises ValueError when the ids are not 0..m-1 in order or a constraint
-    names an undeclared variable.
+    there is its slot.  The initial box's map from names to slots is that
+    numbering, and every box the engines, the search and the Krawczyk step
+    derive from it shares the map.  ``watchers[slot]`` holds the ascending
+    ids of the constraints mentioning that variable, and ``lifted[cid]`` is
+    constraint cid compiled against the slots (``contractors.lift``).
+    ``jacobian`` is None until ``newton.krawczyk`` first needs the source
+    equations' derivatives, and then holds them compiled.  Construction
+    raises ValueError when the initial box does not bind exactly
+    ``variables``, when the ids are not 0..m-1 in order, or when a
+    constraint names an undeclared variable.
     """
 
     constraints: tuple[Constraint, ...]
@@ -443,7 +448,10 @@ class Csp:
 
     def __post_init__(self) -> None:
         names = tuple(sorted(self.variables))
-        slot = {v: i for i, v in enumerate(names)}
+        # the system's boxes share the initial box's name -> slot map
+        slot = self.initial_box._slot
+        if tuple(slot) != names:
+            raise ValueError("the initial box does not bind exactly the system's variables")
         watchers: list[list[int]] = [[] for _ in names]
         for cid, con in enumerate(self.constraints):
             if con.cid != cid:

@@ -90,27 +90,7 @@ class Interval:
         """
         if self.is_empty:
             raise ValueError("midpoint of the empty interval")
-        lo, hi = self.lo, self.hi
-        if lo == -_INF and hi == _INF:
-            return 0.0
-        if lo == -_INF:
-            cand = -0.5 * _MAX
-            if cand >= hi:
-                cand = max(hi * 2.0, -_MAX)
-            return min(cand, hi)
-        if hi == _INF:
-            cand = 0.5 * _MAX
-            if cand <= lo:
-                cand = min(lo * 2.0, _MAX)
-            return max(cand, lo)
-        mid = 0.5 * (lo + hi)
-        if math.isinf(mid):
-            mid = 0.5 * lo + 0.5 * hi
-        if mid < lo:
-            mid = lo
-        elif mid > hi:
-            mid = hi
-        return mid
+        return _midpoint(self.lo, self.hi)
 
     def contains(self, x: float) -> bool:
         """Membership for a real given as a float; infinities are never members."""
@@ -157,9 +137,12 @@ class Interval:
         return _raw(lo, hi)
 
     def __str__(self) -> str:
-        if self.is_empty:
-            return "empty"
-        return f"[{_fmt_bound(self.lo)},{_fmt_bound(self.hi)}]"
+        return _fmt(self.lo, self.hi)
+
+
+def _fmt(lo: float, hi: float) -> str:
+    """Interval.__str__ on bounds."""
+    return "empty" if lo > hi else f"[{_fmt_bound(lo)},{_fmt_bound(hi)}]"
 
 
 def _fmt_bound(x: float) -> str:
@@ -188,6 +171,30 @@ def _raw(lo: float, hi: float) -> Interval:
     _set_lo(iv, lo)
     _set_hi(iv, hi)
     return iv
+
+
+def _midpoint(lo: float, hi: float) -> float:
+    """Interval.midpoint on the bounds of a nonempty interval."""
+    if lo == -_INF and hi == _INF:
+        return 0.0
+    if lo == -_INF:
+        cand = -0.5 * _MAX
+        if cand >= hi:
+            cand = max(hi * 2.0, -_MAX)
+        return min(cand, hi)
+    if hi == _INF:
+        cand = 0.5 * _MAX
+        if cand <= lo:
+            cand = min(lo * 2.0, _MAX)
+        return max(cand, lo)
+    mid = 0.5 * (lo + hi)
+    if math.isinf(mid):
+        mid = 0.5 * lo + 0.5 * hi
+    if mid < lo:
+        mid = lo
+    elif mid > hi:
+        mid = hi
+    return mid
 
 
 EMPTY = _raw(_INF, -_INF)

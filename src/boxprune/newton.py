@@ -29,9 +29,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .boxes import Box, empty_box
+from .boxes import Box
 from .decompose import Add, Csp, ExprAst, Mul, Neg, Num, Pow, Sub, Var
-from .interval import _raw, add_bounds, mul_bounds, square_bounds, sub_bounds
+from .interval import _midpoint, add_bounds, mul_bounds, square_bounds, sub_bounds
 
 __all__ = ["krawczyk"]
 
@@ -188,16 +188,15 @@ def krawczyk(csp: Csp, box: Box) -> Box:
     """
     if not _is_square(csp) or box.is_empty:
         return box
-    user_vars = csp.user_vars
-    n = len(user_vars)
-    ivs = box._ivs
-    lo = [ivs[v].lo for v in user_vars]
-    hi = [ivs[v].hi for v in user_vars]
+    n = len(csp.user_vars)
+    slots = [box._slot[v] for v in csp.user_vars]
+    lo = [box._lo[s] for s in slots]
+    hi = [box._hi[s] for s in slots]
     if not all(math.isfinite(v) for v in lo + hi):
         return box
     program = _program(csp)
     # a float inside each interval
-    c = [ivs[v].midpoint() for v in user_vars]
+    c = [_midpoint(l, h) for l, h in zip(lo, hi)]
     values, _ = _run(program.code, c, c)
     _, derivs = _run(program.code, lo, hi)
     fc = [values[r] for r in program.outputs]
@@ -207,7 +206,7 @@ def krawczyk(csp: Csp, box: Box) -> Box:
         return box
     # X - c, an enclosure since c is a float
     offsets = [sub_bounds(l, h, cj, cj) for l, h, cj in zip(lo, hi, c)]
-    narrowed = dict(ivs)
+    narrowed_lo, narrowed_hi = box._lo[:], box._hi[:]
     changed = False
     for i, yi in enumerate(y):
         # k = c_i - (Y f(c))_i + sum_j (I - Y J(X))_ij (X_j - c_j)
@@ -227,8 +226,9 @@ def krawczyk(csp: Csp, box: Box) -> Box:
         new_lo = k[0] if k[0] > lo[i] else lo[i]
         new_hi = k[1] if k[1] < hi[i] else hi[i]
         if new_lo > new_hi:
-            return empty_box(box.names)
+            return box._emptied()
         if new_lo != lo[i] or new_hi != hi[i]:
-            narrowed[user_vars[i]] = _raw(new_lo, new_hi)
+            narrowed_lo[slots[i]] = new_lo
+            narrowed_hi[slots[i]] = new_hi
             changed = True
-    return Box._from_sorted(narrowed) if changed else box
+    return Box._adopt(box._slot, narrowed_lo, narrowed_hi) if changed else box

@@ -16,11 +16,11 @@ watching the variable it just split, since the parent's fixpoint is still a
 fixpoint of every other one.  The caller vouches for the constraints left
 out; the engine does not check them.
 
-The loop works on the system as compiled by Csp: it reads the box once
-into two float lists, the lower and upper bounds of every variable in slot
-order, applies each constraint's float-level kernel to them in place,
-tells the schedule which slots shrank, and builds the fixpoint Box once at
-the end.
+The loop works on the system as compiled by Csp: it copies the box's two
+bound lists, the lower and upper bounds of every variable in slot order,
+applies each constraint's float-level kernel to the copies in place, tells
+the schedule which slots shrank, and makes the copies the fixpoint Box's
+own at the end.
 
 An engine that has spent ``max_steps`` applications short of the fixpoint
 stops and returns its current iterate with Status.STALLED.  Every
@@ -42,12 +42,11 @@ from enum import Enum
 from functools import partial
 from typing import Callable
 
-from .boxes import Box, empty_box
+from .boxes import Box
 # apply_lifted is not called here; it stays a name of this module because
 # perfbench/tracing.py hooks it
-from .contractors import Constraint, TraceRecord, apply_lifted, big_gamma  # noqa: F401
+from .contractors import Constraint, TraceRecord, apply_lifted  # noqa: F401
 from .decompose import Csp
-from .interval import EMPTY, Interval, _raw
 
 __all__ = [
     "Status",
@@ -55,7 +54,6 @@ __all__ = [
     "propagate_roundrobin",
     "propagate_worklist",
     "propagate_random",
-    "gamma_power",
     "get_engine",
     "Engine",
 ]
@@ -146,17 +144,10 @@ def _uniform(csp: Csp, seed: int, start: Iterable[int] | None) -> Schedule:
 # dataclass's generated __init__ pays a checked __setattr__ per field, so
 # records are filled through their slot descriptors instead.
 _new = object.__new__
-_adopt = Box._from_sorted
+_adopt = Box._adopt
 _set_cid, _set_kind, _set_before, _set_after, _set_changed = (
     getattr(TraceRecord, f).__set__ for f in ("cid", "kind", "before", "after", "changed")
 )
-
-
-def _slice(names: tuple[str, ...], slots: tuple[int, ...], ivs: list[Interval]) -> Box:
-    sliced = {}
-    for s in slots:
-        sliced[names[s]] = ivs[s]
-    return _adopt(sliced)
 
 
 def _record(con: Constraint, before: Box, after: Box) -> TraceRecord:
@@ -170,8 +161,9 @@ def _record(con: Constraint, before: Box, after: Box) -> TraceRecord:
 
 
 def _propagate(csp: Csp, box: Box, schedule: Schedule, record_trace: bool, max_steps: int) -> PropagationOutcome:
-    # a box keeps its components in name order
-    if box.names != csp.names:
+    # the boxes of one system share the initial box's name -> slot map
+    slot = box._slot
+    if slot is not csp.initial_box._slot and box.names != csp.names:
         missing = sorted(csp.variables - box.scope)
         extra = sorted(box.scope - csp.variables)
         raise ValueError(f"box scope does not match the CSP's variables (missing {missing}, extra {extra})")
@@ -179,11 +171,12 @@ def _propagate(csp: Csp, box: Box, schedule: Schedule, record_trace: bool, max_s
     steps = effective = 0
     stalled = False
     if not box.is_empty and csp.constraints:
-        # name order is slot order
-        ivs = list(box._ivs.values())
-        lo = [iv.lo for iv in ivs]
-        hi = [iv.hi for iv in ivs]
+        # copies, which the fixpoint adopts
+        lo, hi = box._lo[:], box._hi[:]
         names, lifted = csp.names, csp.lifted
+        # a trace record's slices map the constraint's variables, in name
+        # order, to their positions in the slice
+        slices: dict[int, dict[str, int]] = {}
         send = schedule.send
         shrunk: tuple[int, ...] | None = None
         emptied = False
@@ -198,19 +191,18 @@ def _propagate(csp: Csp, box: Box, schedule: Schedule, record_trace: bool, max_s
             steps += 1
             kernel, args, value, shrinks, sorted_slots = lifted[cid]
             if record_trace:
-                before = _slice(names, sorted_slots, ivs)
+                where = slices.get(cid)
+                if where is None:
+                    where = slices[cid] = {names[s]: p for p, s in enumerate(sorted_slots)}
+                before = _adopt(where, [lo[s] for s in sorted_slots], [hi[s] for s in sorted_slots])
             m = kernel(lo, hi, args, value)
             if record_trace:
-                # a traced run keeps ivs current, so records share the
-                # Interval objects of components that did not move
                 if m == 0:
                     after = before
                 elif m < 0:
-                    after = _adopt(dict.fromkeys(before._ivs, EMPTY))
+                    after = before._emptied()
                 else:
-                    for s in shrinks[m]:
-                        ivs[s] = _raw(lo[s], hi[s])
-                    after = _slice(names, sorted_slots, ivs)
+                    after = _adopt(where, [lo[s] for s in sorted_slots], [hi[s] for s in sorted_slots])
                 trace.append(_record(csp.constraints[cid], before, after))
             if m == 0:
                 shrunk = ()
@@ -221,13 +213,9 @@ def _propagate(csp: Csp, box: Box, schedule: Schedule, record_trace: bool, max_s
                 break
             shrunk = shrinks[m]
         if emptied:
-            box = empty_box(names)
+            box = box._emptied()
         elif effective:
-            # untouched components keep their Interval objects
-            fixed = {}
-            for name, iv, low, high in zip(names, ivs, lo, hi):
-                fixed[name] = iv if low == iv.lo and high == iv.hi else _raw(low, high)
-            box = _adopt(fixed)
+            box = _adopt(slot, lo, hi)
     return PropagationOutcome(
         fixpoint=box,
         status=Status.PROVED_EMPTY if box.is_empty else Status.STALLED if stalled else Status.FEASIBLE_UNKNOWN,
@@ -289,13 +277,6 @@ def propagate_random(
     Deterministic for a given seed.
     """
     return _propagate(csp, box, _uniform(csp, seed, start), record_trace, max_steps)
-
-
-def gamma_power(csp: Csp, box: Box, k: int) -> Box:
-    """k rounds of the simultaneous all-constraints operator."""
-    for _ in range(k):
-        box = big_gamma(csp, box)
-    return box
 
 
 def get_engine(spec: str) -> Engine:

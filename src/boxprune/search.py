@@ -45,7 +45,7 @@ from enum import Enum
 from .boxes import Box
 from .contractors import TraceRecord
 from .decompose import Csp
-from .interval import Interval, _raw
+from .interval import Interval, _midpoint
 from .newton import krawczyk
 from .propagation import Engine, Status, propagate_worklist
 
@@ -126,42 +126,39 @@ class BudgetExceeded(RuntimeError):
 
 def is_splittable(iv: Interval) -> bool:
     """True when the interval holds a midpoint strictly between its bounds."""
-    if iv.is_empty:
-        return False
-    mid = iv.midpoint()
-    return iv.lo < mid < iv.hi
+    return not iv.is_empty and iv.lo < _midpoint(iv.lo, iv.hi) < iv.hi
 
 
 def split(box: Box, var: str) -> tuple[Box, Box]:
     """Halve one variable at its midpoint; the halves share that endpoint."""
-    iv = box[var]
-    lo, hi = iv.lo, iv.hi
+    s = box._slot[var]
+    lo, hi = box._lo[s], box._hi[s]
     # halving a sum of -1 ulp rounds to -0.0, which bounds never hold
-    mid = iv.midpoint() + 0.0
+    mid = _midpoint(lo, hi) + 0.0
     if not lo < mid < hi:
-        raise ValueError(f"{var} = {iv} cannot be split")
-    # a midpoint strictly inside is finite, so both halves are canonical,
-    # and the copies keep the parent's name order
-    left, right = dict(box._ivs), dict(box._ivs)
-    left[var] = _raw(lo, mid)
-    right[var] = _raw(mid, hi)
-    return Box._from_sorted(left), Box._from_sorted(right)
+        raise ValueError(f"{var} = {box[var]} cannot be split")
+    # a midpoint strictly inside is finite, so both halves are canonical;
+    # each half copies the list it changes and shares the other
+    left_hi, right_lo = box._hi[:], box._lo[:]
+    left_hi[s] = right_lo[s] = mid
+    return Box._adopt(box._slot, box._lo, left_hi), Box._adopt(box._slot, right_lo, box._hi)
 
 
 def pick_split_var(box: Box, user_vars: tuple[str, ...], eps: float) -> str | None:
     """Widest splittable user variable with width > eps; ties go to the
     lexicographically first name, whatever the order of ``user_vars``;
     None when the box is atomic."""
-    ivs = box._ivs
+    slot, lo, hi = box._slot, box._lo, box._hi
     best: str | None = None
     best_width = eps
     for name in user_vars:
-        iv = ivs[name]
-        # hi - lo is the width: +inf when a bound is infinite, negative
-        # for the empty interval
-        width = iv.hi - iv.lo
+        s = slot[name]
+        a, b = lo[s], hi[s]
+        # b - a is the width: +inf when a bound is infinite, negative for
+        # the empty interval, so a wider one than eps is nonempty
+        width = b - a
         if width > best_width or (width == best_width and best is not None and name < best):
-            if is_splittable(iv):
+            if a < _midpoint(a, b) < b:
                 best = name
                 best_width = width
     return best
@@ -272,8 +269,8 @@ def solve(
 
 
 def _widest(box: Box, names: tuple[str, ...]) -> float:
-    ivs = box._ivs
-    return max(ivs[name].hi - ivs[name].lo for name in names)
+    slot, lo, hi = box._slot, box._lo, box._hi
+    return max(hi[slot[name]] - lo[slot[name]] for name in names)
 
 
 def _newton(csp: Csp, box: Box, names: tuple[str, ...]) -> tuple[Box, int, int]:

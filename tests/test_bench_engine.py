@@ -1,0 +1,27 @@
+"""The benchmark's traced run (perfbench/tracing.py) counts contractor
+applications through a wrapper around propagation.propagate_worklist.  A
+solve given that engine must spend every application through it, or the
+benchmark's per-layer counts fall short of the work done."""
+
+from pathlib import Path
+
+import pytest
+
+from boxprune import compile_problem, propagation, solve
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.mark.parametrize("name,eps,applications", [("circle", 1e-10, 66), ("broyden-4", 1e-8, 351)])
+def test_the_wrapped_engine_sees_every_application(monkeypatch, name, eps, applications):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import problems
+    import tracing
+
+    csp = compile_problem(problems.CIRCLE if name == "circle" else problems.broyden(4))
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer.replacements()):
+        report = solve(csp, eps=eps, engine=propagation.propagate_worklist)
+    assert report.stats.contractor_applications == applications
+    assert tracer.engine["calls"] >= 1
+    assert tracer.engine["applications"] == applications

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from boxprune import EMPTY, FULL, Box, Interval, box_hull, empty_box, top_box
+from boxprune import EMPTY, FULL, Box, Interval, box_hull, empty_box
 
 INF = math.inf
 
@@ -126,16 +126,6 @@ def test_encloses_is_componentwise_subset():
     assert not inner.encloses(outer)
     assert outer.encloses(empty_box(("x", "y")))
     assert outer.encloses(outer)
-
-
-def test_top_box_is_top_of_subset_order():
-    rng = random.Random(11)
-    top = top_box(("x", "y"))
-    for _ in range(20):
-        lo, hi = sorted(rng.uniform(-9, 9) for _ in range(2))
-        b = Box({"x": Interval(lo, hi), "y": Interval(lo - 1, hi + 1)})
-        assert top.encloses(b)
-        assert top.join(b) == b
 
 
 def test_with_intervals():

@@ -156,6 +156,26 @@ def test_double_roots_are_enclosed(problem_file, text, root):
         )
 
 
+@pytest.mark.parametrize(
+    "text,code",
+    [
+        ("var x in [0, 1e400]; constraint x = 1;", 0),
+        ("var x in [-1e400, 0]; constraint x = -1;", 0),
+        ("var x in [1e400, 1e401]; constraint x = 1;", 1),
+    ],
+    ids=["above", "below", "beyond"],
+)
+def test_declared_bounds_beyond_the_float_range(problem_file, capsys, text, code):
+    # such a bound rounds to an infinity or the largest float, so x = 1 is
+    # solved, or proved outside [1.7976931348623157e308, inf]
+    assert main([problem_file(text)]) == code
+    out = capsys.readouterr().out
+    if code == 0:
+        assert out.startswith("box : {x=[")
+    else:
+        assert out.startswith("infeasible")
+
+
 def test_propagate_only(problem_file, capsys):
     code = main([problem_file(QUARTIC_UNIT), "--propagate-only"])
     out = capsys.readouterr().out

@@ -23,7 +23,7 @@ from boxprune.decompose import (
 from boxprune.oracle import constraint_residual, equation_residual, extend_assignment
 
 from helpers import QUARTIC_UNIT, QUARTIC_WIDE, X_STAR, Y_STAR, make_csp
-from boxprune import Constraint, Box
+from boxprune import Box, Constraint, Csp
 
 INF = math.inf
 
@@ -51,6 +51,15 @@ def test_infinite_declaration_bounds():
     assert decls[0][1] == Interval(-INF, 5.0)
     assert decls[1][1] == Interval(0.0, INF)
     assert decls[2][1] == FULL
+
+
+def test_declaration_bounds_beyond_the_float_range():
+    # a bound past the largest float rounds outward to an infinity, and
+    # inward to the largest finite float
+    decls, _ = parse_problem("var x in [0, 1e400]; var y in [-1e400, 0]; var z in [1e400, 1e401];")
+    assert decls[0][1] == Interval(0.0, INF)
+    assert decls[1][1] == Interval(-INF, 0.0)
+    assert decls[2][1] == Interval(math.nextafter(INF, 0.0), INF)
 
 
 def test_inexact_declaration_bounds_widen_outward():
@@ -287,6 +296,19 @@ def test_csp_rejects_ids_out_of_tuple_order():
     cons = [Constraint("const", ("x",), cid=1, value=1.0), Constraint("const", ("x",), cid=0, value=2.0)]
     with pytest.raises(ValueError, match="position 0 has id 1"):
         make_csp(cons, {"x": FULL})
+
+
+def test_csp_rejects_an_initial_box_over_other_variables():
+    with pytest.raises(ValueError, match="initial box does not bind exactly"):
+        Csp(
+            constraints=(),
+            variables=frozenset({"x", "y"}),
+            user_vars=("x",),
+            initial_box=Box({"x": FULL}),
+            source_equations=(),
+            declarations=(("x", FULL),),
+            aux_defs=(),
+        )
 
 
 def test_csp_rejects_a_constraint_over_an_undeclared_variable():

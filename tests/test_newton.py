@@ -97,9 +97,9 @@ def test_krawczyk_never_grows_the_box(seed, n):
     box = Box(ivs)
     narrowed = krawczyk(csp, box)
     assert box.encloses(narrowed)
-    # variables outside the equations keep their very intervals
+    # variables outside the equations keep their intervals
     for name in csp.variables - set(csp.user_vars):
-        assert narrowed.is_empty or narrowed[name] is box[name]
+        assert narrowed.is_empty or narrowed[name] == box[name]
 
 
 @pytest.mark.parametrize(

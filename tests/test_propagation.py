@@ -15,7 +15,6 @@ from boxprune import (
     big_gamma,
     compile_problem,
     empty_box,
-    gamma_power,
     get_engine,
     propagate_random,
     propagate_roundrobin,
@@ -200,18 +199,10 @@ def test_budget_overrun_returns_the_stalled_iterate():
 # The simultaneous one-round operator.
 
 
-def test_gamma_power_zero_is_identity():
-    csp = quartic_csp_xyzu()
-    box = right_half_box()
-    assert gamma_power(csp, box, 0) == box
-
-
-def test_gamma_power_one_matches_single_round():
+def test_big_gamma_is_one_simultaneous_round():
     cons = [Constraint("sum", ("x", "y", "z"), cid=0)]
     csp = make_csp(cons, {"x": Interval(0, 2), "y": Interval(0, 2), "z": Interval(3, 5)})
-    box = csp.initial_box
-    assert gamma_power(csp, box, 1) == big_gamma(csp, box)
-    assert gamma_power(csp, box, 1) == Box({"x": Interval(1, 2), "y": Interval(1, 2), "z": Interval(3, 4)})
+    assert big_gamma(csp, csp.initial_box) == Box({"x": Interval(1, 2), "y": Interval(1, 2), "z": Interval(3, 4)})
 
 
 def test_gamma_powers_descend_and_enclose_the_fixpoint():
@@ -219,7 +210,7 @@ def test_gamma_powers_descend_and_enclose_the_fixpoint():
     fixpoint = propagate_worklist(csp, right_half_box()).fixpoint
     current = right_half_box()
     for _ in range(20):
-        nxt = gamma_power(csp, current, 1)
+        nxt = big_gamma(csp, current)
         assert current.encloses(nxt)
         assert nxt.encloses(fixpoint)
         current = nxt

@@ -15,8 +15,10 @@ from boxprune import (
     Interval,
     SolveStatus,
     Status,
+    apply_lifted,
     compile_problem,
     get_engine,
+    krawczyk,
     pick_split_var,
     propagate_roundrobin,
     propagate_worklist,
@@ -75,6 +77,31 @@ def test_split_point_interval_raises():
     box = Box({"x": Interval(2.0, 2.0)})
     with pytest.raises(ValueError, match="cannot be split"):
         split(box, "x")
+
+
+@pytest.mark.parametrize("order", ["worklist", "roundrobin", "random:7"])
+def test_split_halves_share_bounds_but_never_change_them(order):
+    # a half shares one bound list with its parent, so every operation on
+    # a half must leave the parent's and the other half's bounds alone
+    csp = compile_problem("var x in [-2, 2]; var y in [-2, 2]; constraint y = x^2; constraint x^2 + y^2 = 1;")
+    engine = get_engine(order)
+    # a stalled iterate, which neither propagation nor Krawczyk leaves alone
+    parent = engine(csp, csp.initial_box, max_steps=8).fixpoint
+    left, right = split(parent, "x")
+    assert left._lo is parent._lo and right._hi is parent._hi
+    before = [box_bits(b) for b in (parent, left, right)]
+    moved = 0
+    for half in (left, right):
+        fixpoint = engine(csp, half).fixpoint
+        results = [fixpoint, krawczyk(csp, half), krawczyk(csp, fixpoint)]
+        results += [apply_lifted(con, half) for con in csp.constraints]
+        moved += sum(result is not half and result is not fixpoint for result in results[1:]) + (fixpoint != half)
+        for result in results:
+            # a box built from intervals equals an engine-built one
+            rebuilt = Box(dict(result.items()))
+            assert rebuilt == result and hash(rebuilt) == hash(result)
+    assert moved
+    assert [box_bits(b) for b in (parent, left, right)] == before
 
 
 def test_is_splittable_edge_cases():
