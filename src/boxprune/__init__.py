@@ -8,7 +8,7 @@ All arithmetic is outward-rounded, so emitted enclosures are guaranteed to
 contain every real solution of the input system.
 """
 
-from .boxes import Box, box_hull, empty_box
+from .boxes import Box, empty_box
 from .contractors import (
     Constraint,
     TraceRecord,
@@ -57,7 +57,6 @@ __all__ = [
     "FULL",
     "Box",
     "empty_box",
-    "box_hull",
     "Constraint",
     "TraceRecord",
     "contract_sum",

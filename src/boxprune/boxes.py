@@ -21,7 +21,7 @@ from .interval import _INF, EMPTY, FULL, Interval, _fmt, _raw
 
 VarName = str
 
-__all__ = ["VarName", "Box", "box_hull", "empty_box"]
+__all__ = ["VarName", "Box", "empty_box"]
 
 
 class Box:
@@ -154,22 +154,6 @@ def _json_bound(x: float):
     if x == float("-inf"):
         return "-inf"
     return x
-
-
-def box_hull(boxes: Iterable[Box]) -> Box:
-    """Componentwise hull of a non-empty collection of same-scope boxes."""
-    it = iter(boxes)
-    try:
-        first = next(it)
-    except StopIteration:
-        raise ValueError("box_hull of an empty collection") from None
-    hulls = dict(first.items())
-    for b in it:
-        if b.scope != first.scope:
-            raise ValueError("box_hull requires a uniform scope")
-        for v in hulls:
-            hulls[v] = hulls[v].hull(b[v])
-    return Box(hulls)
 
 
 def empty_box(variables: Iterable[str]) -> Box:

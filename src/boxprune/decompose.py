@@ -132,7 +132,23 @@ ExprAst = Union[Var, Num, Add, Sub, Mul, Neg, Pow]
 
 
 def _text_fraction(text: str) -> Fraction:
-    return Fraction(Decimal(text))
+    return _fraction(Decimal(text))
+
+
+def _fraction(value: Decimal) -> Fraction:
+    """A literal's value for rounding to floats.  A nonzero value whose
+    decimal exponent lies beyond +-400 is replaced by +-10^+-400: the float
+    range ends near 1.8e308 and 4.9e-324, so both round alike, and the
+    exact value of such a literal takes seconds to build.  Different
+    literals may share a replacement, so literals are compared and shared
+    by their exact Decimal instead."""
+    if value:
+        exponent = value.adjusted()
+        if exponent > 400:
+            return Fraction(10**400 if value > 0 else -(10**400))
+        if exponent < -400:
+            return Fraction(1 if value > 0 else -1, 10**400)
+    return Fraction(value)
 
 
 def _float_le(frac: Fraction) -> float:
@@ -277,8 +293,8 @@ class _Parser:
             self.expect_op("]")
             if lo > hi:
                 raise ParseError(f"inverted bounds for {name!r}: {lo} > {hi}", lo_tok.line, lo_tok.col)
-            lo_f = lo if isinstance(lo, float) else _float_le(lo)
-            hi_f = hi if isinstance(hi, float) else _float_ge(hi)
+            lo_f = lo if isinstance(lo, float) else _float_le(_fraction(lo))
+            hi_f = hi if isinstance(hi, float) else _float_ge(_fraction(hi))
             try:
                 iv = Interval(lo_f, hi_f)
             except ValueError as exc:
@@ -287,8 +303,8 @@ class _Parser:
         self.declared[name] = iv
         return name, iv
 
-    def parse_bound(self) -> tuple[_Token, "Fraction | float"]:
-        """One declaration bound: a signed decimal, or a signed 'inf'."""
+    def parse_bound(self) -> tuple[_Token, "Decimal | float"]:
+        """One declaration bound: a signed decimal, exact, or a signed 'inf'."""
         sign = 1
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
@@ -301,7 +317,9 @@ class _Parser:
         if num.kind != "num":
             self.fail("expected a number or 'inf'")
         self.advance()
-        return tok, sign * _text_fraction(num.text)
+        # negation under a Decimal context would round; copy_negate is exact
+        value = Decimal(num.text)
+        return tok, value.copy_negate() if sign < 0 else value
 
     def parse_constraint(self) -> tuple[ExprAst, ExprAst]:
         self.advance()  # 'constraint'
@@ -491,7 +509,7 @@ def decompose(
         constraints.append(Constraint(kind, args, cid=len(constraints), value=value))
 
     def rep_num(num: Num) -> str:
-        key = ("num", _text_fraction(num.text))
+        key = ("num", Decimal(num.text))
         if key in cache:
             return cache[key]
         t = fresh()
@@ -574,7 +592,7 @@ def decompose(
         if l_var and r_var:
             tie(lhs.name, rhs.name)
         elif l_num and r_num:
-            if _text_fraction(lhs.text) != _text_fraction(rhs.text):
+            if Decimal(lhs.text) != Decimal(rhs.text):
                 tie(rep_num(lhs), rep_num(rhs))
         elif l_var or r_var:
             var = lhs.name if l_var else rhs.name

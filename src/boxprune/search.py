@@ -3,10 +3,16 @@
 Depth-first, left half before right half.  Each node is propagated to its
 fixpoint; empty fixpoints are pruned (that subtree provably holds no
 solution), boxes whose user variables are all narrower than eps are emitted
-as atomic enclosures, and anything else is split at the midpoint of the
-widest splittable user variable.  Soundness of the contractors makes the
-emitted list complete: every solution of the system inside the initial box
-lies in some emitted atomic box.
+as atomic enclosures, and anything else is split at the widest splittable
+user variable.  Soundness of the contractors makes the emitted list
+complete: every solution of the system inside the initial box lies in some
+emitted atomic box.
+
+A split halves what is still unknown about the variable.  A range no wider
+than 2^64 is cut at its midpoint.  A wider one is cut at 0 if it holds both
+signs, and otherwise at the power of two halfway between its bounds'
+exponents.  So a split of an unbounded range removes half of its 2,100
+binary exponents, where a cut at the midpoint removes one.
 
 The root is propagated from all constraints.  A child differs from its
 parent's fixpoint only in the split variable, so it is still a fixpoint of
@@ -32,12 +38,13 @@ differently or end an ulp apart; each order's boxes hold every root.
 The whole search shares one budget of 1,000,000 applications; each run
 gets at most what is left of it.
 
-Split halves share their midpoint, so a solution sitting exactly on a cut
+Split halves share their cut point, so a solution sitting exactly on a cut
 can legitimately surface in two adjacent enclosures.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -62,6 +69,8 @@ __all__ = [
 
 # the applications of every run of the engine in one search
 _SEARCH_BUDGET = 1_000_000
+# split cuts a range wider than this between its bound exponents
+_WIDE = 2.0**64
 
 
 class SolveStatus(Enum):
@@ -125,23 +134,52 @@ class BudgetExceeded(RuntimeError):
 
 
 def is_splittable(iv: Interval) -> bool:
-    """True when the interval holds a midpoint strictly between its bounds."""
+    """True when the interval holds a midpoint strictly between its bounds,
+    which is when ``split`` can cut it: a range wider than 2^64 always
+    does."""
     return not iv.is_empty and iv.lo < _midpoint(iv.lo, iv.hi) < iv.hi
 
 
 def split(box: Box, var: str) -> tuple[Box, Box]:
-    """Halve one variable at its midpoint; the halves share that endpoint."""
+    """Halve one variable's range where the module docstring says; the
+    halves share that endpoint."""
     s = box._slot[var]
     lo, hi = box._lo[s], box._hi[s]
     # halving a sum of -1 ulp rounds to -0.0, which bounds never hold
-    mid = _midpoint(lo, hi) + 0.0
-    if not lo < mid < hi:
+    cut = _cut(lo, hi) + 0.0
+    if not lo < cut < hi:
         raise ValueError(f"{var} = {box[var]} cannot be split")
-    # a midpoint strictly inside is finite, so both halves are canonical;
-    # each half copies the list it changes and shares the other
+    # a cut strictly inside is finite, so both halves are canonical; each
+    # half copies the list it changes and shares the other
     left_hi, right_lo = box._hi[:], box._lo[:]
-    left_hi[s] = right_lo[s] = mid
+    left_hi[s] = right_lo[s] = cut
     return Box._adopt(box._slot, box._lo, left_hi), Box._adopt(box._slot, right_lo, box._hi)
+
+
+def _cut(lo: float, hi: float) -> float:
+    """Where ``split`` cuts [lo, hi]: its midpoint, unless it is wider than
+    2^64.  Then 0 if it holds both signs, and otherwise the power of two
+    halfway between its bounds' exponents if that lies strictly inside."""
+    if not hi - lo > _WIDE:
+        return _midpoint(lo, hi)
+    if lo < 0.0 < hi:
+        return 0.0
+    # the magnitudes a <= b of the bounds, and the sign of the range
+    a, b, sign = (lo, hi, 1.0) if lo >= 0.0 else (-hi, -lo, -1.0)
+    # 2^1024 overflows
+    cut = sign * math.ldexp(1.0, min((_exponent(a) + _exponent(b)) // 2, 1023))
+    return cut if lo < cut < hi else _midpoint(lo, hi)
+
+
+def _exponent(x: float) -> int:
+    """frexp's exponent e of a magnitude, 2^(e-1) <= x < 2^e, which runs
+    from -1073 to 1024 on the positive floats; one beyond either end, 0
+    counts as -1074 and inf as 1025."""
+    if x == 0.0:
+        return -1074
+    if x == math.inf:
+        return 1025
+    return math.frexp(x)[1]
 
 
 def pick_split_var(box: Box, user_vars: tuple[str, ...], eps: float) -> str | None:

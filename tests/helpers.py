@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable
 from fractions import Fraction
 
 from boxprune import (
@@ -20,7 +21,6 @@ from boxprune import (
     Interval,
     Status,
     apply_lifted,
-    box_hull,
     contract_const,
     contract_mul,
     contract_sq,
@@ -319,6 +319,22 @@ def _root(q: float, up: bool) -> float:
         while Fraction(r) ** 2 > Fraction(q):
             r = math.nextafter(r, -math.inf)
     return r
+
+
+def box_hull(boxes: Iterable[Box]) -> Box:
+    """Componentwise hull of a non-empty collection of same-scope boxes."""
+    it = iter(boxes)
+    try:
+        first = next(it)
+    except StopIteration:
+        raise ValueError("box_hull of an empty collection") from None
+    hulls = dict(first.items())
+    for b in it:
+        if b.scope != first.scope:
+            raise ValueError("box_hull requires a uniform scope")
+        for v in hulls:
+            hulls[v] = hulls[v].hull(b[v])
+    return Box(hulls)
 
 
 def repeated_hull(kind: str, args, box: Box) -> Box:

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from boxprune import EMPTY, FULL, Box, Interval, box_hull, empty_box
+from boxprune import EMPTY, FULL, Box, Interval, empty_box
+
+from helpers import box_hull
 
 INF = math.inf
 
@@ -91,6 +93,9 @@ def test_join_examples():
     got = Box({"x": Interval(0.0, 1.0)}).join(Box({"x": Interval(2.0, 3.0)}))
     assert got.is_empty
     assert got.scope == frozenset({"x"})
+
+
+# box_hull is a helper of the test suite, not a public name
 
 
 def test_box_hull_examples():

@@ -2,11 +2,12 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from boxprune import FULL, Interval, compile_problem, parse_problem, render_problem
+from boxprune import FULL, Interval, compile_problem, parse_problem, render_problem, solve
 from boxprune.decompose import (
     Add,
     Mul,
@@ -129,6 +130,32 @@ def test_parse_error_unattainable_infinity():
 def test_parse_error_constant_out_of_range():
     with pytest.raises(ParseError, match="bad numeric literal"):
         parse_problem("var x; constraint x = 1e400;")
+
+
+def test_literals_far_outside_the_float_range_parse_at_once():
+    # the exact value of 1e10000000 takes seconds to build; beyond 10^+-400
+    # a literal rounds like 10^+-400, which costs nothing
+    started = time.perf_counter()
+    for text, near in [("1e10000000", "1e401"), ("1e-10000000", "1e-401")]:
+        for sign in ("", "-"):
+            far = parse_problem(f"var x in [{sign}{text}, {sign}{text}];")[0]
+            assert far == parse_problem(f"var x in [{sign}{near}, {sign}{near}];")[0]
+    tiny = Num.from_text("1e-10000000")
+    assert not tiny.exact and tiny.enclosure() == Interval(0.0, 5e-324)
+    with pytest.raises(ParseError, match="bad numeric literal"):
+        parse_problem("var x; constraint x = 1e10000000;")
+    assert time.perf_counter() - started < 0.5
+
+
+def test_literals_beyond_the_rounding_cap_keep_their_exact_values():
+    # 1e-500 and 1e-600 round alike, yet they are different numbers: they
+    # get separate auxiliaries, so x = 1e-500 - 1e-600 > 0 stays enclosed
+    with pytest.raises(ParseError, match="inverted"):
+        parse_problem("var x in [1e-500, 1e-600];")
+    csp = compile_problem("var x in [-1, 1]; constraint 1e-500 - 1e-600 = x;")
+    assert len({v for v in csp.variables if v.startswith("_t")}) == 2
+    (box, _), = solve(csp).atomic_boxes
+    assert box["x"].hi > 0.0
 
 
 def test_exponent_one_is_dropped():

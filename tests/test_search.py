@@ -1,10 +1,11 @@
 """Branch-and-prune: splitting, atomic enclosures, pruning, budgets."""
 
 import math
+import sys
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from boxprune import (
@@ -26,6 +27,7 @@ from boxprune import (
     split,
 )
 from boxprune import search
+from boxprune.interval import _midpoint
 from boxprune.search import is_splittable
 
 from helpers import (
@@ -71,6 +73,73 @@ def test_split_at_a_negative_zero_midpoint_gives_canonical_halves():
     box = Box({"x": Interval(-1e-323, 5e-324)})
     left, right = split(box, "x")
     assert left["x"].hi.hex() == right["x"].lo.hex() == (0.0).hex()
+
+
+# Where a split cuts: a range wider than 2^64 at 0 when it holds both
+# signs, and otherwise at the power of two halfway between its bounds'
+# exponents if that lies strictly inside; any other range at its midpoint.
+
+INF = math.inf
+MAX = sys.float_info.max
+WIDE_CUTS = [
+    ((-INF, INF), 0.0),
+    ((-1e300, 1e300), 0.0),
+    # exponents -1074 (for 0) and 1025 (for inf)
+    ((0.0, INF), 2.0**-25),
+    # exponents -9 and 1025
+    ((-INF, -1e-3), -(2.0**508)),
+    # exponents 1024 and 1025: 2^1024 overflows, and 2^1023 < 1e308
+    ((1e308, INF), MAX),
+    # one exponent, 101, whose power of two 2^101 lies above the range
+    ((2.0**100, 2.0**100 + 2.0**66), 2.0**100 + 2.0**65),
+]
+
+
+@pytest.mark.parametrize("bounds,cut", WIDE_CUTS, ids=[str(bounds) for bounds, _ in WIDE_CUTS])
+def test_a_range_wider_than_2_to_the_64_is_cut_between_its_exponents(bounds, cut):
+    lo, hi = bounds
+    left, right = split(Box({"x": Interval(lo, hi), "y": Interval(0.0, 1.0)}), "x")
+    assert math.isfinite(cut) and lo < cut < hi
+    assert left["x"] == Interval(lo, cut)
+    assert right["x"] == Interval(cut, hi)
+    assert left["y"] == right["y"] == Interval(0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "lo,hi",
+    [(0.0, 2.0**64), (-(2.0**63), 2.0**63), (2.0**100, 2.0**100 + 2.0**64), (-(2.0**70), -(2.0**70) + 2.0**64), (0.0, 2.0)],
+)
+def test_a_range_no_wider_than_2_to_the_64_is_cut_at_its_midpoint(lo, hi):
+    left, right = split(Box({"x": Interval(lo, hi)}), "x")
+    assert left["x"] == Interval(lo, _midpoint(lo, hi))
+    assert right["x"] == Interval(_midpoint(lo, hi), hi)
+
+
+_BOUNDS = st.floats(allow_nan=False) | st.sampled_from([0.0, 2.0**64, -(2.0**64), 2.0**63, 1e308, -1e308])
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(_BOUNDS, _BOUNDS)
+def test_every_cut_is_finite_strictly_inside_and_shared_by_both_halves(a, b):
+    lo, hi = sorted((a + 0.0, b + 0.0))
+    assume(lo < _midpoint(lo, hi) < hi)
+    left, right = split(Box({"x": Interval(lo, hi)}), "x")
+    cut = left["x"].hi
+    assert right["x"].lo == cut and left["x"].lo == lo and right["x"].hi == hi
+    assert math.isfinite(cut) and lo < cut < hi
+    if not hi - lo > 2.0**64:
+        assert cut == _midpoint(lo, hi) + 0.0
+
+
+def test_a_range_beside_the_largest_float_is_cut_without_overflow():
+    # a fuzz draw: its search reaches a in [-inf, -2^1022], whose exponents
+    # 1025 and 1023 would put the cut at -2^1024, which overflows
+    csp = compile_problem("var a in [-inf, inf]; constraint -3 + a - 1e-300 = a;")
+    with pytest.raises(BudgetExceeded) as exc:
+        solve(csp, eps=1e-6, max_boxes=8)
+    boxes = [box["a"] for box, _ in exc.value.report.atomic_boxes]
+    assert boxes[0] == Interval(-INF, -MAX)
+    assert len(boxes) == 8
 
 
 def test_split_point_interval_raises():
@@ -225,16 +294,34 @@ def test_emission_order_is_depth_first_left_first():
             assert not q.startswith(p)
 
 
-def test_deep_unbounded_search_is_pinned():
-    # each root, x = y = -1 and x = y = 1, lies over a thousand splits below
-    # the unbounded root box
+def test_unbounded_hyperbola_search_is_pinned():
+    # each split of an unbounded or huge range halves its exponents, so
+    # each root, x = y = -1 and x = y = 1, lies 31 splits below the root box
     report = solve(compile_problem("var x; var y; constraint x*y = 1; constraint x = y;"))
-    assert report.stats.contractor_applications == 12349
-    assert report.stats.max_depth == 1029
-    assert report.pruned_count == 2056
-    assert [path for _, path in report.atomic_boxes] == ["0" + "1" * 1028, "1" + "0" * 1028]
+    assert report.stats.contractor_applications == 373
+    assert report.stats.max_depth == 31
+    assert report.pruned_count == 60
+    assert [path for _, path in report.atomic_boxes] == ["00" + "1" * 29, "11" + "0" * 29]
     assert report.atomic_boxes[0][0]["x"].contains(-1.0)
     assert report.atomic_boxes[1][0]["x"].contains(1.0)
+
+
+def test_a_root_on_a_cut_shows_in_both_adjacent_boxes():
+    # x = 0 is cut first; each half propagates to +-[1e-300, 1e300], whose
+    # exponents -996 and 997 put the next cut at +-1, on the roots
+    report = solve(
+        compile_problem("var x in [-1e300, 1e300]; var y in [-1e300, 1e300]; constraint x*y = 1; constraint x = y;")
+    )
+    assert report.stats.contractor_applications == 29
+    assert report.stats.max_depth == 2
+    assert report.pruned_count == 0
+    minus, plus = Interval(-1.0, -1.0), Interval(1.0, 1.0)
+    assert [(box["x"], box["y"], path) for box, path in report.atomic_boxes] == [
+        (minus, minus, "00"),
+        (minus, minus, "01"),
+        (plus, plus, "10"),
+        (plus, plus, "11"),
+    ]
 
 
 def test_repeated_variable_system_solves_in_a_few_applications():
