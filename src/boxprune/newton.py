@@ -11,11 +11,12 @@ Y is any real matrix (Krawczyk 1969; Neumaier, *Interval Methods for
 Systems of Equations*, 1990).  By the mean value theorem, applied to one
 equation at a time along the segment from c to a root x* in X, every root
 of f in X lies in K(X), whatever Y is.  So Y, an inverse of the midpoint
-of J(X), is computed in plain floats; only f(c), J(X) and the products
-and sums that make up K carry the proof, and they round outward.  K(X) meet
-X therefore keeps every root in X, and when they do not meet, X holds no
-root.  Near a regular root K narrows X quadratically, where propagation
-alone converges only linearly.
+of J(X), is computed in plain floats.  f(c) and J(X) round outward; the
+products with Y that make up K run in plain floats too, and each row of K
+adds an a-priori bound on their rounding error before it rounds outward
+(_rows).  K(X) meet X therefore keeps every root in X, and when they do
+not meet, X holds no root.  Near a regular root K narrows X
+quadratically, where propagation alone converges only linearly.
 
 The equations are compiled, on first use and once per Csp, to one
 straight-line program whose instructions compute an interval value and,
@@ -27,11 +28,11 @@ decompose, so the operator encloses the system as written.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .boxes import Box
 from .decompose import Add, Csp, ExprAst, Mul, Neg, Num, Pow, Sub, Var
-from .interval import _midpoint, add_bounds, mul_bounds, square_bounds, sub_bounds
+from .interval import _midpoint, add_bounds, add_up, mul_bounds, square_bounds, sub_bounds, sub_down, sub_up
 
 __all__ = ["krawczyk"]
 
@@ -39,6 +40,9 @@ __all__ = ["krawczyk"]
 # index to the bounds of the partial derivative; an index that is absent
 # stands for an exact zero.
 _ONE = (1.0, 1.0)
+_INF = math.inf
+_ETA = 5e-324  # 2**-1074, the least positive float
+_TWO_U = 2.0**-52  # twice the unit roundoff
 _VAR, _CONST, _ADD, _SUB, _NEG, _MUL, _SQ = range(7)
 
 
@@ -171,6 +175,94 @@ def _inverse(a: list[list[float]]) -> list[list[float]] | None:
     return inverse
 
 
+def _mid_rad(lo: float, hi: float) -> tuple[float, float]:
+    """A float m and a radius r with [lo, hi] inside [m - r, m + r]."""
+    m = 0.5 * lo + 0.5 * hi
+    return m, max(sub_up(hi, m), sub_up(m, lo))
+
+
+def _rows(
+    y: list[list[float]], fc: list, jac: list, c: list[float], lo: list[float], hi: list[float]
+) -> Iterator[tuple[float, float]]:
+    """Yield the bounds of each row of K(X) = c - Y f(c) + (I - Y J(X)) (X - c)
+    for the f(c) bounds ``fc``, the J(X) rows ``jac`` (dicts of bounds, as
+    in _run) and the box lo, hi around c.
+
+    Each row is one float midpoint and one float radius (Rump, "Fast and
+    parallel interval arithmetic", BIT 1999).  Split every interval of f(c)
+    and J(X) into a float midpoint m and a radius r rounded up (_mid_rad),
+    and X_j - c_j into [-rho_j, rho_j].  Then, exactly, with
+    T_i = sum_k y_ik fm_k and M_ij = delta_ij - sum_k y_ik jm_kj,
+
+        K_i in c_i - T_i +- (sum_k |y_ik| fr_k + sum_j (|M_ij| + sum_k |y_ik| jr_kj) rho_j).
+
+    t_i and C_ij are T_i and M_ij summed in floats, over J's entries only.
+    A sum of at most n + 1 products, in any order, is off by at most
+    g * (sum of their magnitudes) + n * eta, where g = 2(n + 1)u >=
+    gamma_{n+1} bounds the relative error (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2002, 3.1), u = 2**-53, and eta = 2**-1074
+    bounds twice the error of a product that underflows (sums of subnormals
+    are exact).  Hence K_i lies in c_i - t_i +- (S_i + n eta), where
+
+        S_i = sum_k |y_ik| v_k + sum_j (|C_ij| + n eta) rho_j + g rho_i,
+        v_k = fr_k + g |fm_k| + sum_j (jr_kj + g |jm_kj|) rho_j.
+
+    S_i is built from nonnegative floats, and a rounded sum or product of
+    nonnegative a and b is at least (a o b)(1 - u), less eta/2 for a
+    product that underflows.  At most m = 3n + 6 roundings lie between any
+    term and s_i, the last of them the scaling by 1 + 2mu >= (1 - u)**-m,
+    so the scaled float sum covers S_i but for what its products lose to
+    underflow.  Inside v_k, an eta added to jr + g |jm| before the product
+    with rho_j covers the loss of g |jm|, and (entries + 1) eta the losses
+    of the other products.  tau = 4(n + 1) eta covers the n eta of t_i,
+    and twice over the (n + 1) eta that the 2n + 2 products of s_i itself
+    can lose.  The row c_i - t_i +- s_i is then rounded outward.
+
+    A non-finite midpoint or radius, or an overflow, makes t_i or s_i
+    infinite or NaN; that row is [-inf, inf] and narrows nothing.
+    """
+    n = len(y)
+    g = (n + 1) * _TWO_U
+    nu = n * _ETA
+    tau = 4 * (n + 1) * _ETA
+    sigma = 1.0 + (3 * n + 6) * _TWO_U
+    rho = [max(sub_up(h, cj), sub_up(cj, l)) for l, h, cj in zip(lo, hi, c)]
+    f = [_mid_rad(l, h) for l, h in fc]
+    mids = []
+    v = []
+    for (fm, fr), row in zip(f, jac):
+        mid = []
+        vk = fr + g * abs(fm) + (len(row) + 1) * _ETA
+        for j, d in row.items():
+            m, r = _mid_rad(*d)
+            mid.append((j, m))
+            vk += (r + g * abs(m) + _ETA) * rho[j]
+        mids.append(mid)
+        v.append(vk)
+    for i, yi in enumerate(y):
+        t = 0.0
+        s = g * rho[i] + tau
+        # C_ij, row i of I - Y mid(J)
+        ci = [0.0] * n
+        ci[i] = 1.0
+        for yik, (fm, _), vk, mid in zip(yi, f, v, mids):
+            if yik == 0.0:
+                continue
+            t += yik * fm
+            s += abs(yik) * vk
+            for j, m in mid:
+                ci[j] -= yik * m
+        for cij, rj in zip(ci, rho):
+            s += (abs(cij) + nu) * rj
+        s *= sigma
+        # a NaN fails both tests
+        if not (-_INF < t < _INF and s < _INF):
+            yield -_INF, _INF
+            continue
+        a, b = sub_bounds(c[i], c[i], t, t)
+        yield sub_down(a, s), add_up(b, s)
+
+
 def _is_square(csp: Csp) -> bool:
     """Whether the system has as many source equations as user variables,
     at least one; only then can a Krawczyk step narrow a box."""
@@ -204,27 +296,12 @@ def krawczyk(csp: Csp, box: Box) -> Box:
     y = _inverse([[0.5 * l + 0.5 * h for l, h in (row.get(j, (0.0, 0.0)) for j in range(n))] for row in jac])
     if y is None:
         return box
-    # X - c, an enclosure since c is a float
-    offsets = [sub_bounds(l, h, cj, cj) for l, h, cj in zip(lo, hi, c)]
     narrowed_lo, narrowed_hi = box._lo[:], box._hi[:]
     changed = False
-    for i, yi in enumerate(y):
-        # k = c_i - (Y f(c))_i + sum_j (I - Y J(X))_ij (X_j - c_j)
-        k = (c[i], c[i])
-        # m[j] accumulates row i of I - Y J(X)
-        m = {i: _ONE}
-        for yik, fk, jk in zip(yi, fc, jac):
-            if yik == 0.0:
-                continue
-            k = sub_bounds(*k, *mul_bounds(yik, yik, *fk))
-            for j, jkj in jk.items():
-                term = mul_bounds(yik, yik, *jkj)
-                m[j] = sub_bounds(*m[j], *term) if j in m else (-term[1], -term[0])
-        for j, mij in m.items():
-            k = add_bounds(*k, *mul_bounds(*mij, *offsets[j]))
-        # meet with X_i; a NaN bound would fail both tests and narrow nothing
-        new_lo = k[0] if k[0] > lo[i] else lo[i]
-        new_hi = k[1] if k[1] < hi[i] else hi[i]
+    for i, (k_lo, k_hi) in enumerate(_rows(y, fc, jac, c, lo, hi)):
+        # meet with X_i
+        new_lo = k_lo if k_lo > lo[i] else lo[i]
+        new_hi = k_hi if k_hi < hi[i] else hi[i]
         if new_lo > new_hi:
             return box._emptied()
         if new_lo != lo[i] or new_hi != hi[i]:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -20,6 +21,7 @@ from boxprune import (
     solve,
 )
 from boxprune import search
+from boxprune.newton import _rows
 
 from helpers import (
     QUARTIC_UNIT,
@@ -47,11 +49,19 @@ def _around(csp, point: dict, below: float, above: float) -> Box:
     return Box(cut)
 
 
+def _origin_system(rng: random.Random):
+    # roots (0, 0) and (-1/a, 1/a): boxes around the origin can be
+    # subnormally narrow
+    a = rng.choice([0.5, 1.0, 2.0, 4.0])
+    text = f"var x in [-2, 2]; var y in [-2, 2]; constraint y = {a!r}*x^2; constraint x + y = 0;"
+    return text, sorted([(0.0, 0.0), (-1.0 / a, 1.0 / a)])
+
+
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
-    st.sampled_from([_linear_system, _parabola_system]),
-    st.integers(-40, 1),
+    st.sampled_from([_linear_system, _parabola_system, _origin_system]),
+    st.integers(-40, 1) | st.integers(-1074, -1000),
     st.floats(0.0, 1.0),
     st.sampled_from([0.0, 0.0, 0.5, -1.5, 3.0]),
 )
@@ -59,13 +69,14 @@ def test_krawczyk_never_drops_an_exact_root(seed, build, scale, skew, shift):
     # the criterion-10 systems put every root on a dyadic grid point, so
     # membership is exact.  Boxes from a few ulps to the whole domain wide
     # sit around a root or, shifted, next to it, which reaches the
-    # narrowing and the pruning cases.
+    # narrowing and the pruning cases; around the origin, subnormal widths
+    # reach the underflow terms of K's radius.
     text, roots = build(random.Random(seed))
     csp = compile_problem(text)
     width = math.ldexp(1.0, scale)
     x0, y0 = random.Random(seed).choice(roots)
     centre = {"x": x0 + shift * width, "y": y0 - shift * width}
-    box = _around(csp, centre, width * skew, width * (1.0 - skew) + 2.0**-50)
+    box = _around(csp, centre, width * skew, width * (1.0 - skew) + min(width, 2.0**-50))
     for _ in range(4):
         if box.is_empty:
             break
@@ -100,6 +111,103 @@ def test_krawczyk_never_grows_the_box(seed, n):
     # variables outside the equations keep their intervals
     for name in csp.variables - set(csp.user_vars):
         assert narrowed.is_empty or narrowed[name] == box[name]
+
+
+def _float(scale):
+    # floats of about 1, near 1e+-300, and subnormal
+    return st.builds(math.ldexp, st.floats(-1.0, 1.0), scale)
+
+
+_FLOATS = _float(st.integers(-3, 3)) | _float(st.integers(990, 1000)) | _float(st.integers(-1074, -990))
+
+
+@st.composite
+def _bounds(draw):
+    # points and intervals centred on 0 leave the rounding of the float
+    # products nothing else to hide behind
+    x = draw(_FLOATS)
+    shape = draw(st.sampled_from(["point", "centred", "general"]))
+    if shape == "point":
+        return x, x
+    if shape == "centred":
+        return -abs(x), abs(x)
+    return x, max(x, x + abs(draw(_FLOATS)))
+
+
+@st.composite
+def _row_inputs(draw):
+    n = draw(st.integers(1, 3))
+    y = [[draw(_FLOATS) for _ in range(n)] for _ in range(n)]
+    fc = [draw(_bounds()) for _ in range(n)]
+    jac = [{j: draw(_bounds()) for j in range(n) if draw(st.booleans())} for _ in range(n)]
+    box = [draw(_bounds()) for _ in range(n)]
+    c = [draw(st.floats(lo, hi)) for lo, hi in box]
+    return y, fc, jac, c, [lo for lo, _ in box], [hi for _, hi in box]
+
+
+def _exact_row(i, y, fc, jac, c, lo, hi):
+    """Row i of c - Y f(c) + (I - Y J(X)) (X - c) in exact interval arithmetic."""
+
+    def mul(a, b):
+        products = [p * q for p in a for q in b]
+        return min(products), max(products)
+
+    k_lo = k_hi = Fraction(c[i])
+    for yik, f in zip(y[i], fc):
+        p = mul((Fraction(yik),) * 2, map(Fraction, f))
+        k_lo, k_hi = k_lo - p[1], k_hi - p[0]
+    for j in range(len(y)):
+        m_lo = m_hi = Fraction(i == j)
+        for yik, row in zip(y[i], jac):
+            if j in row:
+                p = mul((Fraction(yik),) * 2, map(Fraction, row[j]))
+                m_lo, m_hi = m_lo - p[1], m_hi - p[0]
+        p = mul((m_lo, m_hi), (Fraction(lo[j]) - Fraction(c[j]), Fraction(hi[j]) - Fraction(c[j])))
+        k_lo, k_hi = k_lo + p[0], k_hi + p[1]
+    return k_lo, k_hi
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_row_inputs())
+def test_each_row_of_k_encloses_its_exact_interval_row(inputs):
+    # the midpoint-radius row against the interval formula it replaces,
+    # evaluated without rounding
+    for i, (k_lo, k_hi) in enumerate(_rows(*inputs)):
+        assert not (math.isnan(k_lo) or math.isnan(k_hi))
+        exact_lo, exact_hi = _exact_row(i, *inputs)
+        # plain flags keep pytest from printing the exact rationals
+        below = k_lo == -math.inf or Fraction(k_lo) <= exact_lo
+        above = k_hi == math.inf or exact_hi <= Fraction(k_hi)
+        assert below and above, (i, k_lo, k_hi)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # f(c) = c^2 - 1 overflows at c = 5e159
+        "var x in [1e155, 1e160]; constraint x^2 = 1;",
+        # f(c) = -1, but J(X) = 3x^2 overflows
+        "var x in [-1e160, 1e160]; constraint x^3 = 1;",
+    ],
+    ids=["f-overflows", "jacobian-overflows"],
+)
+def test_an_overflow_narrows_nothing(text):
+    csp = compile_problem(text)
+    box = csp.initial_box
+    narrowed = krawczyk(csp, box)
+    assert narrowed == box
+    assert not any(math.isnan(b) for _, iv in narrowed.items() for b in (iv.lo, iv.hi))
+
+
+def test_krawczyk_keeps_sqrt2_in_a_box_one_ulp_wide():
+    csp = compile_problem("var x in [1, 2]; constraint x^2 = 2;")
+    r = math.sqrt(2.0)
+    lo, hi = (r, math.nextafter(r, 2.0)) if Fraction(r) ** 2 < 2 else (math.nextafter(r, 1.0), r)
+    box = _around(csp, {"x": lo}, 0.0, hi - lo)
+    assert (box["x"].lo, box["x"].hi) == (lo, hi)
+    narrowed = krawczyk(csp, box)
+    with mpmath.workdps(40):
+        assert holds_point(narrowed, {"x": mpmath.sqrt(2)})
 
 
 @pytest.mark.parametrize(
@@ -175,7 +283,7 @@ def test_the_jacobian_program_is_compiled_once_and_on_first_use():
 # The search with Krawczyk steps.
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", [*range(2, 9), 16, 32])
 def test_mpmath_roots_of_broyden_lie_in_the_solve_boxes(n):
     csp = compile_problem(broyden(n))
     for order in ("worklist", "random:7"):
@@ -218,10 +326,10 @@ def test_every_stalled_node_ends_inside_its_plain_fixpoint(text, eps, order):
     [
         # worklist stalls n = 4 at a box Krawczyk cannot narrow, whose
         # right half is pruned
-        (broyden(4), 1e-8, 351, 8, 6, ["0"]),
-        (broyden(8), 1e-8, 1140, 10, 9, [""]),
-        (broyden(2, repeated=True), 1e-8, 253, 8, 8, [""]),
-        (QUARTIC_WIDE, 1e-10, 66, 12, 12, ["00", "11"]),
+        (broyden(4), 1e-8, 332, 8, 7, ["0"]),
+        (broyden(8), 1e-8, 1043, 9, 8, [""]),
+        (broyden(2, repeated=True), 1e-8, 251, 8, 8, [""]),
+        (QUARTIC_WIDE, 1e-10, 66, 12, 10, ["00", "11"]),
     ],
     ids=["broyden-4", "broyden-8", "broyden-2-repeated", "circle"],
 )
