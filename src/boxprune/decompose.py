@@ -28,7 +28,9 @@ zero constant, and powers expand by square and multiply, so ``x^4 + x^2``
 shares its ``x^2`` node.  Decimal literals that are not exactly
 representable become a fresh variable whose initial interval is the
 one-ulp-outward enclosure of the literal's value; exact literals become
-``const`` constraints.
+``const`` constraints.  The same walk records each equation as written, as
+the interval program of lhs - rhs that the Krawczyk step runs
+(``Csp.program``).
 """
 
 from __future__ import annotations
@@ -317,8 +319,11 @@ class _Parser:
         if num.kind != "num":
             self.fail("expected a number or 'inf'")
         self.advance()
+        try:
+            value = Decimal(num.text)
+        except ArithmeticError:
+            self.fail(f"bad numeric literal {num.text!r}", num)
         # negation under a Decimal context would round; copy_negate is exact
-        value = Decimal(num.text)
         return tok, value.copy_negate() if sign < 0 else value
 
     def parse_constraint(self) -> tuple[ExprAst, ExprAst]:
@@ -445,10 +450,20 @@ class Csp:
     derive from it shares the map.  ``watchers[slot]`` holds the ascending
     ids of the constraints mentioning that variable, and ``lifted[cid]`` is
     constraint cid compiled against the slots (``contractors.lift``).
-    ``jacobian`` is None until ``newton.krawczyk`` first needs the source
-    equations' derivatives, and then holds them compiled.  Construction
-    raises ValueError when the initial box does not bind exactly
-    ``variables``, when the ids are not 0..m-1 in order, or when a
+
+    ``program`` is the straight-line interval program of f_i = lhs_i - rhs_i
+    over the source equations, recorded by the same walk that flattens them,
+    and ``outputs[i]`` is the register of f_i.  ``program[r]`` computes
+    register r: ("var", j, None) for the j-th user variable, ("const", lo,
+    hi) for a literal's enclosure, or an ``aux_defs`` operation on earlier
+    registers a and b, (op, a, b), with b None for "neg" and "sq".  It keeps
+    the equations as written: structurally equal subexpressions share a
+    register, but a subexpression that flattening names after a user
+    variable is not replaced by it.  ``newton.krawczyk`` runs the program;
+    a hand-built Csp may leave both empty.
+
+    Construction raises ValueError when the initial box does not bind
+    exactly ``variables``, when the ids are not 0..m-1 in order, or when a
     constraint names an undeclared variable.
     """
 
@@ -459,10 +474,11 @@ class Csp:
     source_equations: tuple[tuple[ExprAst, ExprAst], ...]
     declarations: tuple[tuple[str, Interval], ...]
     aux_defs: tuple[tuple[str, str, tuple], ...]
+    program: tuple[tuple, ...] = field(default=(), repr=False)
+    outputs: tuple[int, ...] = field(default=(), repr=False)
     names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     watchers: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     lifted: tuple[Lifted, ...] = field(init=False, repr=False, compare=False)
-    jacobian: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = tuple(sorted(self.variables))
@@ -481,7 +497,6 @@ class Csp:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "watchers", tuple(map(tuple, watchers)))
         object.__setattr__(self, "lifted", tuple(lift(con, slot) for con in self.constraints))
-        object.__setattr__(self, "jacobian", None)
 
 
 _ZERO = Num("0", 0.0, True)
@@ -494,9 +509,14 @@ def decompose(
     box: dict[str, Interval] = {name: iv for name, iv in declarations}
     if len(box) != len(declarations):
         raise ValueError("duplicate declaration")
+    user_vars = tuple(name for name, _ in declarations)
+    index = {name: j for j, name in enumerate(user_vars)}
     constraints: list[Constraint] = []
     aux_defs: list[tuple[str, str, tuple]] = []
     cache: dict[tuple, str] = {}
+    program: list[tuple] = []
+    registers: dict[tuple, int] = {}
+    outputs: list[int] = []
     counter = 0
 
     def fresh() -> str:
@@ -507,6 +527,22 @@ def decompose(
 
     def emit(kind: str, args: tuple[str, ...], value: float | None = None) -> None:
         constraints.append(Constraint(kind, args, cid=len(constraints), value=value))
+
+    def reg(instruction: tuple) -> int:
+        # structurally equal instructions share one register
+        r = registers.get(instruction)
+        if r is None:
+            r = registers[instruction] = len(program)
+            program.append(instruction)
+        return r
+
+    def leaf(node: Var | Num) -> int:
+        if isinstance(node, Var):
+            if node.name not in index:
+                raise ValueError(f"undeclared variable {node.name!r}")
+            return reg(("var", index[node.name], None))
+        iv = Interval(node.value, node.value) if node.exact else node.enclosure()
+        return reg(("const", iv.lo, iv.hi))
 
     def rep_num(num: Num) -> str:
         key = ("num", Decimal(num.text))
@@ -522,51 +558,55 @@ def decompose(
         cache[key] = t
         return t
 
-    def finish(key: tuple, op: str, operands: tuple, emitter, target: str | None) -> str:
+    def finish(key: tuple, instruction: tuple, operands: tuple, emitter, target: str | None) -> tuple[str, int]:
+        # names are shared by key and registers by structure, even where
+        # the key's name is a user variable that a targeted merge aliased
+        r = reg(instruction)
         if key in cache:
-            return cache[key]
+            return cache[key], r
         out = target if target is not None else fresh()
         if out not in box:
             box[out] = FULL
         emitter(out)
         if target is None:
-            aux_defs.append((out, op, operands))
+            aux_defs.append((out, instruction[0], operands))
         cache[key] = out
-        return out
+        return out, r
 
-    def pow_chain(base: str, k: int, target: str | None = None) -> str:
+    def pow_chain(base: str, base_reg: int, k: int, target: str | None = None) -> tuple[str, int]:
         if k == 1:
-            return base
+            return base, base_reg
         if k % 2 == 0:
-            h = pow_chain(base, k // 2)
-            return finish(("sq", h), "sq", (h,), lambda out: emit("sq", (h, out)), target)
-        h = pow_chain(base, k - 1)
+            h, rh = pow_chain(base, base_reg, k // 2)
+            return finish(("sq", h), ("sq", rh, None), (h,), lambda out: emit("sq", (h, out)), target)
+        h, rh = pow_chain(base, base_reg, k - 1)
         key = ("mul",) + tuple(sorted((h, base)))
-        return finish(key, "mul", (h, base), lambda out: emit("mul", (h, base, out)), target)
+        return finish(key, ("mul", rh, base_reg), (h, base), lambda out: emit("mul", (h, base, out)), target)
 
-    def rep(node: ExprAst, target: str | None = None) -> str:
+    def rep(node: ExprAst, target: str | None = None) -> tuple[str, int]:
+        """The node's name in the constraints and its register in the program."""
         if isinstance(node, Var):
-            return node.name
+            return node.name, leaf(node)
         if isinstance(node, Num):
-            return rep_num(node)
+            return rep_num(node), leaf(node)
         if isinstance(node, Pow):
-            return pow_chain(rep(node.base), node.exponent, target)
+            return pow_chain(*rep(node.base), node.exponent, target)
         if isinstance(node, Add):
-            a, b = rep(node.lhs), rep(node.rhs)
+            (a, ra), (b, rb) = rep(node.lhs), rep(node.rhs)
             key = ("add",) + tuple(sorted((a, b)))
-            return finish(key, "add", (a, b), lambda out: emit("sum", (a, b, out)), target)
+            return finish(key, ("add", ra, rb), (a, b), lambda out: emit("sum", (a, b, out)), target)
         if isinstance(node, Sub):
-            a, b = rep(node.lhs), rep(node.rhs)
-            return finish(("sub", a, b), "sub", (a, b), lambda out: emit("sum", (out, b, a)), target)
+            (a, ra), (b, rb) = rep(node.lhs), rep(node.rhs)
+            return finish(("sub", a, b), ("sub", ra, rb), (a, b), lambda out: emit("sum", (out, b, a)), target)
         if isinstance(node, Mul):
-            a, b = rep(node.lhs), rep(node.rhs)
+            (a, ra), (b, rb) = rep(node.lhs), rep(node.rhs)
             key = ("mul",) + tuple(sorted((a, b)))
-            return finish(key, "mul", (a, b), lambda out: emit("mul", (a, b, out)), target)
+            return finish(key, ("mul", ra, rb), (a, b), lambda out: emit("mul", (a, b, out)), target)
         if isinstance(node, Neg):
-            a = rep(node.operand)
+            a, ra = rep(node.operand)
             return finish(
                 ("neg", a),
-                "neg",
+                ("neg", ra, None),
                 (a,),
                 lambda out: emit("sum", (out, a, rep_num(_ZERO))),
                 target,
@@ -589,6 +629,9 @@ def decompose(
     for lhs, rhs in equations:
         l_var, r_var = isinstance(lhs, Var), isinstance(rhs, Var)
         l_num, r_num = isinstance(lhs, Num), isinstance(rhs, Num)
+        # the registers of lhs and rhs; an expression side gets its own
+        # from the walk that names it
+        sides = [leaf(side) if isinstance(side, (Var, Num)) else None for side in (lhs, rhs)]
         if l_var and r_var:
             tie(lhs.name, rhs.name)
         elif l_num and r_num:
@@ -600,27 +643,31 @@ def decompose(
             if isinstance(other, Num):
                 bind_const(var, other)
             else:
-                r = rep(other, target=var)
+                r, sides[1 if l_var else 0] = rep(other, target=var)
                 if r != var:
                     tie(var, r)
         elif l_num or r_num:
             num = lhs if l_num else rhs
             other = rhs if l_num else lhs
-            bind_const(rep(other), num)
+            r, sides[1 if l_num else 0] = rep(other)
+            bind_const(r, num)
         else:
-            rl = rep(lhs)
-            rr = rep(rhs, target=rl)
+            rl, sides[0] = rep(lhs)
+            rr, sides[1] = rep(rhs, target=rl)
             if rr != rl:
                 tie(rl, rr)
+        outputs.append(reg(("sub", *sides)))
 
     return Csp(
         constraints=tuple(constraints),
         variables=frozenset(box),
-        user_vars=tuple(name for name, _ in declarations),
+        user_vars=user_vars,
         initial_box=Box(box),
         source_equations=tuple(equations),
         declarations=tuple(declarations),
         aux_defs=tuple(aux_defs),
+        program=tuple(program),
+        outputs=tuple(outputs),
     )
 
 

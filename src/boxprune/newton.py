@@ -18,20 +18,20 @@ adds an a-priori bound on their rounding error before it rounds outward
 not meet, X holds no root.  Near a regular root K narrows X
 quadratically, where propagation alone converges only linearly.
 
-The equations are compiled, on first use and once per Csp, to one
-straight-line program whose instructions compute an interval value and,
-in forward mode, the interval partial derivatives with respect to the user
-variables.  An inexact literal enters as its one-ulp enclosure, as in
-decompose, so the operator encloses the system as written.
+decompose records the equations as one straight-line program
+(``Csp.program``) while it flattens them.  Running it computes, for every
+register, an interval value and, in forward mode, the interval partial
+derivatives with respect to the user variables.  An inexact literal enters
+as its one-ulp enclosure, so the operator encloses the system as written.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .boxes import Box
-from .decompose import Add, Csp, ExprAst, Mul, Neg, Num, Pow, Sub, Var
+from .decompose import Csp
 from .interval import _midpoint, add_bounds, add_up, mul_bounds, square_bounds, sub_bounds, sub_down, sub_up
 
 __all__ = ["krawczyk"]
@@ -43,90 +43,27 @@ _ONE = (1.0, 1.0)
 _INF = math.inf
 _ETA = 5e-324  # 2**-1074, the least positive float
 _TWO_U = 2.0**-52  # twice the unit roundoff
-_VAR, _CONST, _ADD, _SUB, _NEG, _MUL, _SQ = range(7)
 
 
-class _Program(NamedTuple):
-    """``code[r]`` is the instruction computing register r: (_VAR, j,
-    None) for the j-th user variable, (_CONST, lo, hi), or an operation on
-    earlier registers a and b (b is None for _NEG and _SQ).
-    ``outputs[i]`` is the register of f_i."""
-
-    code: tuple[tuple, ...]
-    outputs: tuple[int, ...]
-
-
-def _compile(csp: Csp) -> _Program:
-    index = {name: j for j, name in enumerate(csp.user_vars)}
-    code: list[tuple] = []
-    # structurally equal subexpressions share one register
-    registers: dict[tuple, int] = {}
-
-    def emit(instruction: tuple) -> int:
-        r = registers.get(instruction)
-        if r is None:
-            r = registers[instruction] = len(code)
-            code.append(instruction)
-        return r
-
-    def power(base: int, k: int) -> int:
-        # square and multiply, as decompose expands powers
-        if k == 1:
-            return base
-        if k % 2 == 0:
-            return emit((_SQ, power(base, k // 2), None))
-        return emit((_MUL, power(base, k - 1), base))
-
-    def rep(node: ExprAst) -> int:
-        if isinstance(node, Var):
-            return emit((_VAR, index[node.name], None))
-        if isinstance(node, Num):
-            if node.exact:
-                return emit((_CONST, node.value + 0.0, node.value + 0.0))
-            iv = node.enclosure()
-            return emit((_CONST, iv.lo, iv.hi))
-        if isinstance(node, Add):
-            return emit((_ADD, rep(node.lhs), rep(node.rhs)))
-        if isinstance(node, Sub):
-            return emit((_SUB, rep(node.lhs), rep(node.rhs)))
-        if isinstance(node, Mul):
-            return emit((_MUL, rep(node.lhs), rep(node.rhs)))
-        if isinstance(node, Neg):
-            return emit((_NEG, rep(node.operand), None))
-        if isinstance(node, Pow):
-            return power(rep(node.base), node.exponent)
-        raise TypeError(f"not an expression node: {node!r}")
-
-    outputs = tuple(emit((_SUB, rep(lhs), rep(rhs))) for lhs, rhs in csp.source_equations)
-    return _Program(tuple(code), outputs)
-
-
-def _program(csp: Csp) -> _Program:
-    program = csp.jacobian
-    if program is None:
-        program = _compile(csp)
-        object.__setattr__(csp, "jacobian", program)
-    return program
-
-
-def _run(code: tuple[tuple, ...], lo: list[float], hi: list[float]) -> tuple[list, list]:
-    """Value bounds and derivatives of every register over the box lo, hi."""
+def _run(program: tuple[tuple, ...], lo: list[float], hi: list[float]) -> tuple[list, list]:
+    """Value bounds and derivatives of every register of ``Csp.program``
+    over the box lo, hi."""
     values: list[tuple[float, float]] = []
     derivs: list[dict[int, tuple[float, float]]] = []
-    for op, a, b in code:
-        if op == _VAR:
+    for op, a, b in program:
+        if op == "var":
             value, d = (lo[a], hi[a]), {a: _ONE}
-        elif op == _CONST:
+        elif op == "const":
             value, d = (a, b), {}
-        elif op == _NEG:
+        elif op == "neg":
             (al, ah), da = values[a], derivs[a]
             value, d = (-ah, -al), {j: (-h, -l) for j, (l, h) in da.items()}
-        elif op == _SQ:
+        elif op == "sq":
             value = square_bounds(*values[a])
             # d(u^2) = 2u du; doubling rounds only on overflow
             twice = mul_bounds(2.0, 2.0, *values[a])
             d = {j: mul_bounds(*twice, *dj) for j, dj in derivs[a].items()}
-        elif op == _MUL:
+        elif op == "mul":
             u, v = values[a], values[b]
             value = mul_bounds(*u, *v)
             # d(uv) = v du + u dv
@@ -137,7 +74,7 @@ def _run(code: tuple[tuple, ...], lo: list[float], hi: list[float]) -> tuple[lis
         else:
             (al, ah), (bl, bh) = values[a], values[b]
             da, db = derivs[a], derivs[b]
-            if op == _ADD:
+            if op == "add":
                 value = add_bounds(al, ah, bl, bh)
                 d = dict(da)
                 for j, dj in db.items():
@@ -264,9 +201,9 @@ def _rows(
 
 
 def _is_square(csp: Csp) -> bool:
-    """Whether the system has as many source equations as user variables,
-    at least one; only then can a Krawczyk step narrow a box."""
-    return len(csp.source_equations) == len(csp.user_vars) > 0
+    """Whether the system's program has as many equations as user
+    variables, at least one; only then can a Krawczyk step narrow a box."""
+    return len(csp.outputs) == len(csp.user_vars) > 0
 
 
 def krawczyk(csp: Csp, box: Box) -> Box:
@@ -286,13 +223,12 @@ def krawczyk(csp: Csp, box: Box) -> Box:
     hi = [box._hi[s] for s in slots]
     if not all(math.isfinite(v) for v in lo + hi):
         return box
-    program = _program(csp)
     # a float inside each interval
     c = [_midpoint(l, h) for l, h in zip(lo, hi)]
-    values, _ = _run(program.code, c, c)
-    _, derivs = _run(program.code, lo, hi)
-    fc = [values[r] for r in program.outputs]
-    jac = [derivs[r] for r in program.outputs]
+    values, _ = _run(csp.program, c, c)
+    _, derivs = _run(csp.program, lo, hi)
+    fc = [values[r] for r in csp.outputs]
+    jac = [derivs[r] for r in csp.outputs]
     y = _inverse([[0.5 * l + 0.5 * h for l, h in (row.get(j, (0.0, 0.0)) for j in range(n))] for row in jac])
     if y is None:
         return box

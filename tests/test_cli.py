@@ -176,6 +176,14 @@ def test_declared_bounds_beyond_the_float_range(problem_file, capsys, text, code
         assert out.startswith("infeasible")
 
 
+@pytest.mark.parametrize("bound", ["[0, 1e59999999999999999999]", "[1e-59999999999999999999, 1]"], ids=["huge", "tiny"])
+def test_a_bound_beyond_decimal_exponents_is_a_parse_error(problem_file, capsys, bound):
+    # the literal has no Decimal, so it is rejected like the same literal in
+    # an expression
+    assert main([problem_file(f"var a in {bound}; constraint a = 1;")]) == 2
+    assert "bad numeric literal" in capsys.readouterr().err
+
+
 def test_propagate_only(problem_file, capsys):
     code = main([problem_file(QUARTIC_UNIT), "--propagate-only"])
     out = capsys.readouterr().out

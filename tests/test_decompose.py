@@ -2,10 +2,13 @@
 
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from boxprune import FULL, Interval, compile_problem, parse_problem, render_problem, solve
 from boxprune.decompose import (
@@ -130,6 +133,46 @@ def test_parse_error_unattainable_infinity():
 def test_parse_error_constant_out_of_range():
     with pytest.raises(ParseError, match="bad numeric literal"):
         parse_problem("var x; constraint x = 1e400;")
+
+
+_FUZZ_SOURCES = (
+    QUARTIC_UNIT,
+    QUARTIC_WIDE,
+    "var x in [-inf, 0.5]; var y; constraint -(x - 1)^3 * y = 0.1 + -2e-3;",
+    "var a in [-1e300, 1e300]; var b in [0, 1]; constraint a*a - b = a; constraint b^4 = 1 - a;",
+)
+# every kind of token, and literals at and beyond the float range
+_FUZZ_TOKENS = (
+    *"+-*^()=;[],",
+    *("var", "constraint", "in", "inf", "x", "y", "a", "z", "_t0", "#", "@"),
+    *("0", "2", "0.1", "1e308", "1e400", "1e-400", "99999999999999999999"),
+    *("1e59999999999999999999", "1e-59999999999999999999"),
+)
+
+
+@st.composite
+def _mutated_texts(draw):
+    """A valid problem with a few of its tokens inserted, deleted or replaced."""
+    tokens = re.findall(r"[A-Za-z_]\w*|[\d.]+(?:[eE][+-]?\d+)?|\S", draw(st.sampled_from(_FUZZ_SOURCES)))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit == "delete":
+            del tokens[i]
+        else:
+            tokens[i : i + (edit == "replace")] = [draw(st.sampled_from(_FUZZ_TOKENS))]
+    return " ".join(tokens)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_mutated_texts())
+@example("var a in [0, 1e59999999999999999999]; constraint a = 1;")
+@example("var a in [1e-59999999999999999999, 1]; constraint a = 1;")
+def test_malformed_text_raises_only_parse_errors(text):
+    try:
+        compile_problem(text)
+    except ParseError:
+        pass
 
 
 def test_literals_far_outside_the_float_range_parse_at_once():
@@ -281,6 +324,12 @@ def test_inexact_constant_directly_bound_to_variable():
 def test_duplicate_declarations_rejected_by_decompose():
     with pytest.raises(ValueError, match="duplicate declaration"):
         decompose([("x", FULL), ("x", FULL)], [])
+
+
+def test_undeclared_variables_rejected_by_decompose():
+    for lhs in (Var("z"), Add(Var("z"), Var("x"))):
+        with pytest.raises(ValueError, match="undeclared variable 'z'"):
+            decompose([("x", FULL)], [(lhs, Num.from_text("1"))])
 
 
 # The variable index (Csp.watchers) and the checks that build it.

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -21,7 +22,8 @@ from boxprune import (
     solve,
 )
 from boxprune import search
-from boxprune.newton import _rows
+from boxprune.decompose import Add, Neg, Num, Pow, Sub, Var
+from boxprune.newton import _rows, _run
 
 from helpers import (
     QUARTIC_UNIT,
@@ -30,6 +32,7 @@ from helpers import (
     broyden_root,
     check_nodes_against_plain_fixpoints,
     holds_point,
+    quartic_csp_xyzu,
     solve_by_node,
 )
 from test_acceptance import _linear_system, _parabola_system
@@ -270,14 +273,65 @@ def test_krawczyk_encloses_an_inexact_literal_as_written():
         assert holds_point(narrowed, {"x": mpmath.sqrt(mpmath.mpf(1) / 10)})
 
 
-def test_the_jacobian_program_is_compiled_once_and_on_first_use():
-    csp = compile_problem(broyden(3))
-    assert csp.jacobian is None
-    solve(csp, eps=1e-8)
-    program = csp.jacobian
-    assert program is not None
-    solve(csp, eps=1e-8)
-    assert csp.jacobian is program
+def _exact_value(node, point: dict) -> Fraction:
+    """The exact value of an expression at a point of Fractions, with each
+    literal at its decimal value."""
+    if isinstance(node, Var):
+        return point[node.name]
+    if isinstance(node, Num):
+        return Fraction(Decimal(node.text))
+    if isinstance(node, Neg):
+        return -_exact_value(node.operand, point)
+    if isinstance(node, Pow):
+        return _exact_value(node.base, point) ** node.exponent
+    a, b = _exact_value(node.lhs, point), _exact_value(node.rhs, point)
+    return a + b if isinstance(node, Add) else a - b if isinstance(node, Sub) else a * b
+
+
+def _names(node) -> set[str]:
+    if isinstance(node, Var):
+        return {node.name}
+    if isinstance(node, Num):
+        return set()
+    if isinstance(node, (Neg, Pow)):
+        return _names(node.operand if isinstance(node, Neg) else node.base)
+    return _names(node.lhs) | _names(node.rhs)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # flattening names the second x^2 y; f_2 still depends on x
+        QUARTIC_WIDE,
+        # and here it names the second x*y z
+        "var x in [-2, 2]; var y in [-2, 2]; var z in [-4, 4]; constraint z = x*y; constraint z = x*y + 1;",
+        "var x in [-1, 1]; constraint 0.1 = 0.1;",
+        "var x in [0, 1]; var y in [-1, 1]; constraint x^2 = 0.1 - y; constraint 0.3*x = -y;",
+    ],
+    ids=["circle", "aliased-product", "equal-literals", "inexact-literal"],
+)
+def test_the_program_is_each_equation_as_written(text):
+    csp = compile_problem(text)
+    assert len(csp.outputs) == len(csp.source_equations)
+    index = {name: j for j, name in enumerate(csp.user_vars)}
+    rng = random.Random(0)
+    for _ in range(20):
+        # dyadic points, so the program's inputs are exact
+        point = [rng.randint(-64, 64) / 32 for _ in csp.user_vars]
+        values, derivs = _run(csp.program, point, point)
+        exact_point = {name: Fraction(p) for name, p in zip(csp.user_vars, point)}
+        for (lhs, rhs), r in zip(csp.source_equations, csp.outputs):
+            assert set(derivs[r]) == {index[name] for name in _names(lhs) | _names(rhs)}
+            residual = _exact_value(lhs, exact_point) - _exact_value(rhs, exact_point)
+            lo, hi = values[r]
+            assert Fraction(lo) <= residual <= Fraction(hi), (lhs, rhs, point)
+
+
+def test_krawczyk_leaves_a_hand_built_csp_alone():
+    # a Csp built from constraints has no program: no equation to step on
+    csp = quartic_csp_xyzu()
+    assert csp.outputs == ()
+    assert krawczyk(csp, csp.initial_box) is csp.initial_box
 
 
 # The search with Krawczyk steps.
