@@ -23,6 +23,8 @@ decompose records the equations as one straight-line program
 register, an interval value and, in forward mode, the interval partial
 derivatives with respect to the user variables.  An inexact literal enters
 as its one-ulp enclosure, so the operator encloses the system as written.
+A Krawczyk step runs the program once: the same sweep bounds each
+register at c, for f(c), and over X, for J(X).
 """
 
 from __future__ import annotations
@@ -45,25 +47,29 @@ _ETA = 5e-324  # 2**-1074, the least positive float
 _TWO_U = 2.0**-52  # twice the unit roundoff
 
 
-def _run(program: tuple[tuple, ...], lo: list[float], hi: list[float]) -> tuple[list, list]:
-    """Value bounds and derivatives of every register of ``Csp.program``
-    over the box lo, hi."""
+def _run(program: tuple[tuple, ...], c: list[float], lo: list[float], hi: list[float]) -> tuple[list, list]:
+    """In one sweep of ``Csp.program``: the value bounds of every register
+    at the point c, and its derivatives over the box lo, hi."""
+    points: list[tuple[float, float]] = []
     values: list[tuple[float, float]] = []
     derivs: list[dict[int, tuple[float, float]]] = []
     for op, a, b in program:
         if op == "var":
-            value, d = (lo[a], hi[a]), {a: _ONE}
+            point, value, d = (c[a], c[a]), (lo[a], hi[a]), {a: _ONE}
         elif op == "const":
-            value, d = (a, b), {}
+            point = value = (a, b)
+            d = {}
         elif op == "neg":
-            (al, ah), da = values[a], derivs[a]
-            value, d = (-ah, -al), {j: (-h, -l) for j, (l, h) in da.items()}
+            (pl, ph), (al, ah), da = points[a], values[a], derivs[a]
+            point, value, d = (-ph, -pl), (-ah, -al), {j: (-h, -l) for j, (l, h) in da.items()}
         elif op == "sq":
+            point = square_bounds(*points[a])
             value = square_bounds(*values[a])
             # d(u^2) = 2u du; doubling rounds only on overflow
             twice = mul_bounds(2.0, 2.0, *values[a])
             d = {j: mul_bounds(*twice, *dj) for j, dj in derivs[a].items()}
         elif op == "mul":
+            point = mul_bounds(*points[a], *points[b])
             u, v = values[a], values[b]
             value = mul_bounds(*u, *v)
             # d(uv) = v du + u dv
@@ -75,18 +81,21 @@ def _run(program: tuple[tuple, ...], lo: list[float], hi: list[float]) -> tuple[
             (al, ah), (bl, bh) = values[a], values[b]
             da, db = derivs[a], derivs[b]
             if op == "add":
+                point = add_bounds(*points[a], *points[b])
                 value = add_bounds(al, ah, bl, bh)
                 d = dict(da)
                 for j, dj in db.items():
                     d[j] = add_bounds(*d[j], *dj) if j in d else dj
             else:
+                point = sub_bounds(*points[a], *points[b])
                 value = sub_bounds(al, ah, bl, bh)
                 d = dict(da)
                 for j, (l, h) in db.items():
                     d[j] = sub_bounds(*d[j], l, h) if j in d else (-h, -l)
+        points.append(point)
         values.append(value)
         derivs.append(d)
-    return values, derivs
+    return points, derivs
 
 
 def _inverse(a: list[list[float]]) -> list[list[float]] | None:
@@ -100,12 +109,15 @@ def _inverse(a: list[list[float]]) -> list[list[float]] | None:
         if not (p != 0.0 and math.isfinite(p)):
             return None
         rows[col], rows[pivot] = rows[pivot], rows[col]
-        top = [v / p for v in rows[col]]
-        rows[col] = top
+        # the pivot row is zero left of col, and what any row holds there
+        # never feeds a later pivot or the inverse: work from col on only
+        top = [v / p for v in rows[col][col:]]
+        rows[col][col:] = top
         for r in range(n):
-            f = rows[r][col]
+            row = rows[r]
+            f = row[col]
             if r != col and f != 0.0:
-                rows[r] = [v - f * w for v, w in zip(rows[r], top)]
+                row[col:] = [v - f * w for v, w in zip(row[col:], top)]
     inverse = [row[n:] for row in rows]
     if not all(math.isfinite(v) for row in inverse for v in row):
         return None
@@ -225,9 +237,8 @@ def krawczyk(csp: Csp, box: Box) -> Box:
         return box
     # a float inside each interval
     c = [_midpoint(l, h) for l, h in zip(lo, hi)]
-    values, _ = _run(csp.program, c, c)
-    _, derivs = _run(csp.program, lo, hi)
-    fc = [values[r] for r in csp.outputs]
+    points, derivs = _run(csp.program, c, lo, hi)
+    fc = [points[r] for r in csp.outputs]
     jac = [derivs[r] for r in csp.outputs]
     y = _inverse([[0.5 * l + 0.5 * h for l, h in (row.get(j, (0.0, 0.0)) for j in range(n))] for row in jac])
     if y is None:

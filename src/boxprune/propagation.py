@@ -113,12 +113,14 @@ def _fifo(csp: Csp, start: Iterable[int] | None) -> Schedule:
     queued = set(queue)
     while queue:
         cid = queue.popleft()
-        queued.discard(cid)
+        # cid stays marked queued while its watchers are, so its own shrink
+        # does not re-queue it: a kernel leaves its constraint at a fixpoint
         for v in (yield cid):
             for watcher in watchers[v]:
                 if watcher not in queued:
                     queue.append(watcher)
                     queued.add(watcher)
+        queued.discard(cid)
 
 
 def _uniform(csp: Csp, seed: int, start: Iterable[int] | None) -> Schedule:
@@ -253,9 +255,11 @@ def propagate_worklist(
 
     The queue starts holding all constraints in id order, or the ids in
     ``start`` in ascending order, and never holds a constraint twice.  When
-    an application changes some variables, every constraint whose scope
-    mentions one of them (the applied one included) is appended again
-    unless already queued.
+    an application changes some variables, every other constraint whose
+    scope mentions one of them is appended again unless already queued.
+    The applied one is not: its kernel runs to a local fixpoint, so its
+    own shrink leaves it stable, and only another constraint's shrink can
+    make it worth applying again.
     """
     return _propagate(csp, box, _fifo(csp, start), record_trace, max_steps)
 

@@ -23,7 +23,7 @@ from boxprune import (
 )
 from boxprune import search
 from boxprune.decompose import Add, Neg, Num, Pow, Sub, Var
-from boxprune.newton import _rows, _run
+from boxprune.newton import _inverse, _rows, _run
 
 from helpers import (
     QUARTIC_UNIT,
@@ -243,6 +243,20 @@ def test_krawczyk_leaves_a_singular_midpoint_jacobian_alone():
     assert krawczyk(csp, csp.initial_box) is csp.initial_box
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+def test_the_inverse_is_an_inverse(seed, n):
+    # diagonally dominant, so pivots swap rows only by chance
+    rng = random.Random(seed)
+    a = [[rng.uniform(-1.0, 1.0) + (n if i == j else 0.0) for j in range(n)] for i in range(n)]
+    rng.shuffle(a)
+    y = _inverse(a)
+    for i in range(n):
+        for j in range(n):
+            exact = sum(Fraction(y[i][k]) * Fraction(a[k][j]) for k in range(n))
+            assert abs(exact - (i == j)) < 1e-13, (i, j)
+
+
 def test_krawczyk_narrows_to_a_regular_root_quadratically():
     csp = compile_problem("var x in [1, 2]; constraint x^2 = 2;")
     box = csp.initial_box
@@ -318,13 +332,41 @@ def test_the_program_is_each_equation_as_written(text):
     for _ in range(20):
         # dyadic points, so the program's inputs are exact
         point = [rng.randint(-64, 64) / 32 for _ in csp.user_vars]
-        values, derivs = _run(csp.program, point, point)
+        values, derivs = _run(csp.program, point, point, point)
         exact_point = {name: Fraction(p) for name, p in zip(csp.user_vars, point)}
         for (lhs, rhs), r in zip(csp.source_equations, csp.outputs):
             assert set(derivs[r]) == {index[name] for name in _names(lhs) | _names(rhs)}
             residual = _exact_value(lhs, exact_point) - _exact_value(rhs, exact_point)
             lo, hi = values[r]
             assert Fraction(lo) <= residual <= Fraction(hi), (lhs, rhs, point)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        QUARTIC_WIDE,
+        broyden(4),
+        broyden(2, repeated=True),
+        "var x in [0, 1]; var y in [-1, 1]; constraint x^2 = 0.1 - y; constraint 0.3*x = -y;",
+    ],
+    ids=["circle", "broyden-4", "broyden-2-repeated", "inexact-literal"],
+)
+def test_the_sweep_bounds_the_point_and_the_box_apart(text):
+    # one sweep serves f(c) and J(X): the derivatives must not see c, nor
+    # the bounds at c the box
+    csp = compile_problem(text)
+    rng = random.Random(1)
+
+    def draw():
+        return [rng.uniform(-2.0, 2.0) for _ in csp.user_vars]
+
+    for _ in range(20):
+        c, other_c = draw(), draw()
+        lo, hi = map(list, zip(*(sorted(pair) for pair in zip(draw(), draw()))))
+        other_lo, other_hi = map(list, zip(*(sorted(pair) for pair in zip(draw(), draw()))))
+        points, derivs = _run(csp.program, c, lo, hi)
+        assert _run(csp.program, other_c, lo, hi)[1] == derivs
+        assert _run(csp.program, c, other_lo, other_hi)[0] == points
 
 
 def test_krawczyk_leaves_a_hand_built_csp_alone():
@@ -378,12 +420,10 @@ def test_every_stalled_node_ends_inside_its_plain_fixpoint(text, eps, order):
 @pytest.mark.parametrize(
     "text,eps,applications,steps,narrowed,paths",
     [
-        # worklist stalls n = 4 at a box Krawczyk cannot narrow, whose
-        # right half is pruned
-        (broyden(4), 1e-8, 332, 8, 7, ["0"]),
-        (broyden(8), 1e-8, 1043, 9, 8, [""]),
-        (broyden(2, repeated=True), 1e-8, 251, 8, 8, [""]),
-        (QUARTIC_WIDE, 1e-10, 66, 12, 10, ["00", "11"]),
+        (broyden(4), 1e-8, 155, 7, 7, [""]),
+        (broyden(8), 1e-8, 535, 8, 7, [""]),
+        (broyden(2, repeated=True), 1e-8, 94, 7, 7, [""]),
+        (QUARTIC_WIDE, 1e-10, 57, 12, 10, ["00", "11"]),
     ],
     ids=["broyden-4", "broyden-8", "broyden-2-repeated", "circle"],
 )
