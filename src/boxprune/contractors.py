@@ -343,23 +343,20 @@ class Lifted(NamedTuple):
     bound lists and returns -1 (infeasible) or a change mask whose bit b
     says that slot ``args[b]`` shrank; ``args`` are distinct (see ``lift``),
     and ``value`` is the tuple of points a ``_const`` kernel allows.
-    ``shrunk[mask]`` lists the slots that mask names.  ``sorted_slots``
-    holds ``args`` in variable-name order, the order of trace records.
+    ``shrunk[mask]`` lists the slots that mask names.
     """
 
     kernel: Callable[[list[float], list[float], tuple[int, ...], tuple[float, ...] | None], int]
     args: tuple[int, ...]
     value: tuple[float, ...] | None
     shrunk: tuple[tuple[int, ...], ...]
-    sorted_slots: tuple[int, ...]
 
 
 def lift(con: Constraint, slot: Mapping[str, int]) -> Lifted:
     """Compile `con` against the slot numbering `slot` (variable -> index).
 
     A constraint that repeats a variable compiles to the kernel of the
-    relation it denotes over its distinct variables.  A slot numbering in
-    name order makes ``sorted_slots`` name-sorted.
+    relation it denotes over its distinct variables.
     """
     args = tuple(map(slot.__getitem__, con.args))
     kernel = _KERNELS[con.kind]
@@ -384,7 +381,7 @@ def lift(con: Constraint, slot: Mapping[str, int]) -> Lifted:
     shrunk = [()]
     for v in args:
         shrunk += [t + (v,) for t in shrunk]
-    return Lifted(kernel, args, value, tuple(shrunk), tuple(sorted(args)))
+    return Lifted(kernel, args, value, tuple(shrunk))
 
 
 def _contract(kernel, ivs: tuple[Interval, ...], value=None) -> tuple[Interval, ...]:

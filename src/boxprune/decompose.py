@@ -16,7 +16,8 @@ declared before use and start with a letter; names beginning with ``_`` are
 reserved for the auxiliaries that flattening introduces.  An expression
 nests at most ``MAX_DEPTH`` levels, counting every operator and every pair
 of parentheses on its deepest path; a deeper one is a ParseError.  Sums and
-products chain to the left, so ``a + b + c`` is two levels deep.
+products chain to the left, so ``a + b + c`` is two levels deep.  An
+exponent above ``MAX_EXPONENT`` (2^64) is a ParseError too.
 
 ``decompose`` rewrites each equation into primitive constraints over
 {sum, mul, sq, const}, introducing one auxiliary variable per distinct
@@ -182,6 +183,9 @@ _INT_RE = re.compile(r"\d+")
 # bound keeps every one of them well inside Python's default recursion
 # limit of 1000.
 MAX_DEPTH = 200
+# Flattening expands x^k by square and multiply, recursing once per bit of
+# k and once more per 1-bit, so this bound keeps that within 128 levels.
+MAX_EXPONENT = 2**64
 
 
 @dataclass(frozen=True, slots=True)
@@ -377,10 +381,14 @@ class _Parser:
         if tok.kind == "op" and tok.text == "^":
             self.advance()
             exp = self.peek()
-            if exp.kind != "num" or not _INT_RE.fullmatch(exp.text) or int(exp.text) < 1:
+            digits = exp.text.lstrip("0") if exp.kind == "num" and _INT_RE.fullmatch(exp.text) else ""
+            if not digits:
                 self.fail("exponent must be a positive integer")
+            # int() refuses more than 4,300 digits, so their count comes first
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                self.fail("exponent exceeds 2^64")
             self.advance()
-            k = int(exp.text)
+            k = int(digits)
             if k != 1:
                 node, depth = Pow(node, k), self.deeper(depth, tok)
         if negate is not None:
@@ -420,8 +428,7 @@ class _Parser:
 
 def _negated_num(num: Num) -> Num:
     text = num.text[1:] if num.text.startswith("-") else "-" + num.text
-    frac = _text_fraction(text)
-    return Num(text, float(frac), Fraction(float(frac)) == frac)
+    return Num.from_text(text)
 
 
 def parse_problem(text: str) -> tuple[list[tuple[str, Interval]], list[tuple[ExprAst, ExprAst]]]:

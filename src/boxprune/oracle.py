@@ -58,7 +58,11 @@ def eval_expr(node: ExprAst, env: Mapping[str, object]):
     if isinstance(node, Neg):
         return -eval_expr(node.operand, env)
     if isinstance(node, Pow):
-        return eval_expr(node.base, env) ** node.exponent
+        base = eval_expr(node.base, env)
+        try:
+            return base ** node.exponent
+        except OverflowError:  # past the float range, where a product rounds to infinity
+            return math.copysign(math.inf, base) if node.exponent % 2 else math.inf
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -20,7 +20,8 @@ The loop works on the system as compiled by Csp: it copies the box's two
 bound lists, the lower and upper bounds of every variable in slot order,
 applies each constraint's float-level kernel to the copies in place, tells
 the schedule which slots shrank, and makes the copies the fixpoint Box's
-own at the end.
+own at the end.  A traced run hands the loop kernels wrapped to record
+each application, so the loop holds no trace code.
 
 An engine that has spent ``max_steps`` applications short of the fixpoint
 stops and returns its current iterate with Status.STALLED.  Every
@@ -45,7 +46,7 @@ from typing import Callable
 from .boxes import Box
 # apply_lifted is not called here; it stays a name of this module because
 # perfbench/tracing.py hooks it
-from .contractors import Constraint, TraceRecord, apply_lifted  # noqa: F401
+from .contractors import Constraint, Lifted, TraceRecord, apply_lifted  # noqa: F401
 from .decompose import Csp
 
 __all__ = [
@@ -142,24 +143,29 @@ def _uniform(csp: Csp, seed: int, start: Iterable[int] | None) -> Schedule:
         del pool[bisect_left(pool, cid)]
 
 
-# A traced run builds one record per application, and the frozen
-# dataclass's generated __init__ pays a checked __setattr__ per field, so
-# records are filled through their slot descriptors instead.
-_new = object.__new__
-_adopt = Box._adopt
-_set_cid, _set_kind, _set_before, _set_after, _set_changed = (
-    getattr(TraceRecord, f).__set__ for f in ("cid", "kind", "before", "after", "changed")
-)
+def _traced(csp: Csp, trace: list[TraceRecord]) -> list[Lifted]:
+    """``csp.lifted`` with each kernel wrapped to append to ``trace`` a
+    record of its constraint's slice before and after the call."""
 
+    def wrap(con: Constraint, lifted: Lifted) -> Lifted:
+        kernel = lifted.kernel
+        # slots follow name order, and so do a slice's variables
+        slots = sorted(lifted.args)
+        where = {csp.names[s]: p for p, s in enumerate(slots)}
 
-def _record(con: Constraint, before: Box, after: Box) -> TraceRecord:
-    rec = _new(TraceRecord)
-    _set_cid(rec, con.cid)
-    _set_kind(rec, con.kind)
-    _set_before(rec, before)
-    _set_after(rec, after)
-    _set_changed(rec, after is not before)
-    return rec
+        def read(lo: list[float], hi: list[float]) -> Box:
+            return Box._adopt(where, [lo[s] for s in slots], [hi[s] for s in slots])
+
+        def traced(lo: list[float], hi: list[float], args: tuple[int, ...], value) -> int:
+            before = read(lo, hi)
+            m = kernel(lo, hi, args, value)
+            after = before._emptied() if m < 0 else read(lo, hi) if m else before
+            trace.append(TraceRecord(con.cid, con.kind, before, after, m != 0))
+            return m
+
+        return lifted._replace(kernel=traced)
+
+    return [wrap(con, lifted) for con, lifted in zip(csp.constraints, csp.lifted)]
 
 
 def _propagate(csp: Csp, box: Box, schedule: Schedule, record_trace: bool, max_steps: int) -> PropagationOutcome:
@@ -175,10 +181,7 @@ def _propagate(csp: Csp, box: Box, schedule: Schedule, record_trace: bool, max_s
     if not box.is_empty and csp.constraints:
         # copies, which the fixpoint adopts
         lo, hi = box._lo[:], box._hi[:]
-        names, lifted = csp.names, csp.lifted
-        # a trace record's slices map the constraint's variables, in name
-        # order, to their positions in the slice
-        slices: dict[int, dict[str, int]] = {}
+        lifted = _traced(csp, trace) if record_trace else csp.lifted
         send = schedule.send
         shrunk: tuple[int, ...] | None = None
         emptied = False
@@ -191,21 +194,8 @@ def _propagate(csp: Csp, box: Box, schedule: Schedule, record_trace: bool, max_s
                 stalled = True
                 break
             steps += 1
-            kernel, args, value, shrinks, sorted_slots = lifted[cid]
-            if record_trace:
-                where = slices.get(cid)
-                if where is None:
-                    where = slices[cid] = {names[s]: p for p, s in enumerate(sorted_slots)}
-                before = _adopt(where, [lo[s] for s in sorted_slots], [hi[s] for s in sorted_slots])
+            kernel, args, value, shrinks = lifted[cid]
             m = kernel(lo, hi, args, value)
-            if record_trace:
-                if m == 0:
-                    after = before
-                elif m < 0:
-                    after = before._emptied()
-                else:
-                    after = _adopt(where, [lo[s] for s in sorted_slots], [hi[s] for s in sorted_slots])
-                trace.append(_record(csp.constraints[cid], before, after))
             if m == 0:
                 shrunk = ()
                 continue
@@ -217,7 +207,7 @@ def _propagate(csp: Csp, box: Box, schedule: Schedule, record_trace: bool, max_s
         if emptied:
             box = box._emptied()
         elif effective:
-            box = _adopt(slot, lo, hi)
+            box = Box._adopt(slot, lo, hi)
     return PropagationOutcome(
         fixpoint=box,
         status=Status.PROVED_EMPTY if box.is_empty else Status.STALLED if stalled else Status.FEASIBLE_UNKNOWN,

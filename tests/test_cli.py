@@ -320,6 +320,15 @@ def test_expression_at_the_depth_limit_solves(problem_file, capsys, expression):
     assert "grid check: 1 candidate points, 1 enclosed (all enclosed)\n" in out
 
 
+@pytest.mark.parametrize("exponent", [str(2**1000), "9" * 5000], ids=["2^1000", "5000-digits"])
+def test_huge_exponent_is_a_parse_error(problem_file, capsys, exponent):
+    code = main([problem_file(f"var x in [0, 2]; constraint x^{exponent} = 2;")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: line 1, column 31: exponent exceeds 2^64\n"
+
+
 def test_trace_lines(problem_file, capsys):
     code = main([problem_file(QUARTIC_UNIT), "--trace"])
     out = capsys.readouterr().out

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from boxprune import FULL, Interval, compile_problem, parse_problem, render_problem, solve
 from boxprune.decompose import (
+    MAX_EXPONENT,
     Add,
     Mul,
     Neg,
@@ -118,9 +119,23 @@ def test_parse_error_reserved_words():
 
 
 def test_parse_error_bad_exponents():
-    for text in ("var x; constraint x^0 = 1;", "var x; constraint x^1.5 = 1;", "var x; constraint x^-2 = 1;"):
+    for text in (
+        "var x; constraint x^0 = 1;",
+        "var x; constraint x^1.5 = 1;",
+        "var x; constraint x^-2 = 1;",
+        # flattening recursed once per bit of these, past the recursion limit
+        f"var x in [0, 2]; constraint x^{2**1000} = 2;",
+        f"var x in [0, 2]; constraint x^{2**64 + 1} = 2;",
+        # past the digit limit of int()
+        f"var x; constraint x^{'9' * 5000} = 1;",
+    ):
         with pytest.raises(ParseError, match="exponent"):
             parse_problem(text)
+
+
+def test_exponents_up_to_the_bound_parse():
+    _, eqs = parse_problem(f"var x; constraint x^{'0' * 5000}{2**64} = 1;")
+    assert eqs[0][0] == Pow(Var("x"), MAX_EXPONENT)
 
 
 def test_parse_error_unattainable_infinity():
@@ -363,7 +378,6 @@ def test_csp_compiles_constraints_against_name_order_slots():
     (lifted,) = csp.lifted
     # y * x = y compiles to "y = 0 or x = 1" over the distinct slots (y, x)
     assert lifted.args == (1, 0)
-    assert lifted.sorted_slots == (0, 1)
     # bit b of a change mask names args[b]
     assert lifted.shrunk == ((), (1,), (0,), (1, 0))
 

@@ -45,6 +45,14 @@ def test_eval_expr_vectorizes():
         assert vec[k] == eval_expr(lhs, {"x": float(xs[k]), "y": float(ys[k])})
 
 
+def test_eval_expr_scalar_powers_overflow_to_infinity():
+    # a float power past the float range raises OverflowError in Python
+    assert eval_expr(Pow(Num("1e300", 1e300, False), 2), {}) == math.inf
+    assert eval_expr(Pow(Var("x"), 3), {"x": -1e300}) == -math.inf
+    with np.errstate(over="ignore"):
+        assert eval_expr(Pow(Var("x"), 3), {"x": np.array([-1e300])})[0] == -math.inf
+
+
 def test_eval_expr_rejects_non_nodes():
     with pytest.raises(TypeError, match="not an expression node"):
         eval_expr("x", {})

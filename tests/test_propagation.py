@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -124,6 +125,11 @@ def test_left_half_is_proved_empty(name, engine):
     assert out.fixpoint.is_empty
     assert out.fixpoint == empty_box(("u", "x", "y", "z"))
     assert out.effective_steps >= 1
+    # the run ends at the application that empties the box, its last record
+    traced = engine(csp, left_half_box(), record_trace=True)
+    assert len(traced.trace) == traced.steps
+    assert traced.trace[-1].after.is_empty and traced.trace[-1].changed
+    assert replace(traced, trace=None) == out
 
 
 def test_right_half_contracts_to_a_sliver():
@@ -196,6 +202,10 @@ def test_budget_overrun_returns_the_stalled_iterate():
         assert out.steps == 3
         assert csp.initial_box.encloses(out.fixpoint)
         assert out.fixpoint.encloses(fixpoint)
+        # the application the budget stops is neither made nor recorded
+        traced = engine(csp, csp.initial_box, max_steps=3, record_trace=True)
+        assert len(traced.trace) == 3
+        assert replace(traced, trace=None) == out
 
 
 # The simultaneous one-round operator.

@@ -2,8 +2,12 @@
 
 import math
 import sys
+import time
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -13,12 +17,14 @@ from boxprune import (
     BudgetExceeded,
     Constraint,
     FULL,
+    GridSpec,
     Interval,
     SolveStatus,
     Status,
     apply_lifted,
     compile_problem,
     get_engine,
+    grid_solutions,
     krawczyk,
     pick_split_var,
     propagate_roundrobin,
@@ -27,6 +33,7 @@ from boxprune import (
     split,
 )
 from boxprune import search
+from boxprune.decompose import Add, ExprAst, Neg, Num, Pow, Sub, Var
 from boxprune.interval import _midpoint
 from boxprune.search import is_splittable
 
@@ -583,6 +590,20 @@ def _systems(draw) -> str:
     return " ".join(decls + equations)
 
 
+def _exact(node: ExprAst, point: dict[str, float]) -> Fraction:
+    """The expression's real value at a point of floats."""
+    if isinstance(node, Var):
+        return Fraction(point[node.name])
+    if isinstance(node, Num):
+        return Fraction(Decimal(node.text))
+    if isinstance(node, Neg):
+        return -_exact(node.operand, point)
+    if isinstance(node, Pow):
+        return _exact(node.base, point) ** node.exponent
+    a, b = _exact(node.lhs, point), _exact(node.rhs, point)
+    return a + b if isinstance(node, Add) else a - b if isinstance(node, Sub) else a * b
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_systems())
 # each of these ran its node past 1,000,000 applications, or for more
@@ -594,6 +615,7 @@ def _systems(draw) -> str:
 def test_fuzzed_systems_solve_or_run_out_of_budget(text):
     # with the application budget cut to 2,000, every search ends fast:
     # it finishes, or stops at one of its budgets with an incomplete report
+    started = time.perf_counter()
     csp = compile_problem(text)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search, "_SEARCH_BUDGET", 2000)
@@ -604,5 +626,20 @@ def test_fuzzed_systems_solve_or_run_out_of_budget(text):
             assert report.exhausted in ("atomic box", "contractor application")
         else:
             assert not report.incomplete
+    elapsed = time.perf_counter() - started
+    assert elapsed < 1.0, f"took {elapsed:.3f} s"
     assert report.stats.contractor_applications <= 2000
     assert len(report.atomic_boxes) <= 64
+    # a finished search over a finite box emits every solution on a grid;
+    # a grid hit outside every box must be a near miss, not a solution.  An
+    # overflowing side makes every point a hit, so the grids stay coarse
+    bounds = {name: (iv.lo, iv.hi) for name, iv in csp.declarations}
+    if report.incomplete or not all(map(math.isfinite, sum(bounds.values(), ()))):
+        return
+    spec = GridSpec(n={1: 1025, 2: 65}.get(len(bounds), 17), tol=1e-12)
+    with np.errstate(all="ignore"):
+        hits = grid_solutions(csp.source_equations, bounds, spec)
+    boxes = [{v: (box[v].lo, box[v].hi) for v in bounds} for box, _path in report.atomic_boxes]
+    for point in hits:
+        if not any(all(b[v][0] <= x <= b[v][1] for v, x in point.items()) for b in boxes):
+            assert any(_exact(lhs, point) != _exact(rhs, point) for lhs, rhs in csp.source_equations), point
