@@ -41,7 +41,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .boxes import Box
 from .contractors import Constraint, Lifted, lift
@@ -90,6 +90,9 @@ class Num:
 
     @classmethod
     def from_text(cls, text: str) -> "Num":
+        if len(text) < 16 and text.isascii() and text.isdigit():
+            # an integer below 10^15 < 2^53: a float exactly
+            return cls(text, float(int(text)), True)
         frac = _text_fraction(text)
         value = float(frac)
         if math.isinf(value):
@@ -171,12 +174,34 @@ def _float_ge(frac: Fraction) -> float:
     return -_float_le(-frac) + 0.0
 
 
+def _bound_float(bound: Decimal | float, rounded) -> float:
+    """A declaration bound as a float: an infinity as it is, an integer of
+    fewer than 16 digits exactly, and else its value rounded by ``rounded``
+    (_float_le or _float_ge)."""
+    if isinstance(bound, float):
+        return bound
+    _, digits, exponent = bound.as_tuple()
+    if exponent == 0 and len(digits) < 16:
+        return float(int(bound))
+    return rounded(_fraction(bound))
+
+
 # Tokenizer.
 
 _KEYWORDS = frozenset({"var", "constraint", "in", "inf"})
-_NUM_RE = re.compile(r"(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_OPS = frozenset("+-*^()=;[],")
+# One alternative per token kind, tried in order at each position; "bad" is
+# any other character but a newline, so the matches tile the text.  A
+# comment runs up to its newline, which is scanned as a newline.
+_SCAN_RE = re.compile(
+    r"""(?P<num>(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?)
+      | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+      | (?P<op>[-+*^()=;\[\],])
+      | (?P<space>[ \t\r]+)
+      | (?P<newline>\n)
+      | (?P<comment>\#[^\n]*)
+      | (?P<bad>.)""",
+    re.VERBOSE,
+)
 _INT_RE = re.compile(r"\d+")
 # Parsing, flattening, rendering and the oracle all recurse once per level
 # of an expression, and the parser four times per parenthesis, so a fixed
@@ -188,8 +213,7 @@ MAX_DEPTH = 200
 MAX_EXPONENT = 2**64
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "num" | "ident" | "op" | "eof"
     text: str
     line: int
@@ -198,43 +222,21 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, col = 1, 1
+    for m in _SCAN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
+            col += m.end() - m.start()
+        elif kind == "newline":
             line += 1
             col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            j = text.find("\n", i)
-            if j == -1:
-                break
-            i = j
-            continue
-        m = _NUM_RE.match(text, i)
-        if m:
-            toks.append(_Token("num", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            toks.append(_Token("ident", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        if ch in _OPS:
-            toks.append(_Token("op", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
+        elif kind != "comment":
+            tok = m.group()
+            toks.append(_Token(kind, tok, line, col))
+            col += len(tok)
+    # a comment leaves col at its '#', where a final one puts eof
     toks.append(_Token("eof", "", line, col))
     return toks
 
@@ -299,8 +301,8 @@ class _Parser:
             self.expect_op("]")
             if lo > hi:
                 raise ParseError(f"inverted bounds for {name!r}: {lo} > {hi}", lo_tok.line, lo_tok.col)
-            lo_f = lo if isinstance(lo, float) else _float_le(_fraction(lo))
-            hi_f = hi if isinstance(hi, float) else _float_ge(_fraction(hi))
+            lo_f = _bound_float(lo, _float_le)
+            hi_f = _bound_float(hi, _float_ge)
             try:
                 iv = Interval(lo_f, hi_f)
             except ValueError as exc:
@@ -467,7 +469,9 @@ class Csp:
     the equations as written: structurally equal subexpressions share a
     register, but a subexpression that flattening names after a user
     variable is not replaced by it.  ``newton.krawczyk`` runs the program;
-    a hand-built Csp may leave both empty.
+    a hand-built Csp may leave both empty.  ``bounded[r]`` says whether the
+    run needs register r's bounds over a box: a product or a square reads
+    them for its derivative, directly or through sums and negations.
 
     Construction raises ValueError when the initial box does not bind
     exactly ``variables``, when the ids are not 0..m-1 in order, or when a
@@ -486,6 +490,7 @@ class Csp:
     names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     watchers: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     lifted: tuple[Lifted, ...] = field(init=False, repr=False, compare=False)
+    bounded: tuple[bool, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = tuple(sorted(self.variables))
@@ -504,6 +509,20 @@ class Csp:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "watchers", tuple(map(tuple, watchers)))
         object.__setattr__(self, "lifted", tuple(lift(con, slot) for con in self.constraints))
+        object.__setattr__(self, "bounded", _bounded(self.program))
+
+
+def _bounded(program: tuple[tuple, ...]) -> tuple[bool, ...]:
+    """Csp.bounded: a product or a square reads its operands' bounds, and
+    a sum, difference or negation whose bounds are read reads theirs."""
+    bounded = [False] * len(program)
+    for r in reversed(range(len(program))):
+        op, a, b = program[r]
+        if op == "mul" or op == "sq" or bounded[r] and op in ("add", "sub", "neg"):
+            bounded[a] = True
+            if b is not None:
+                bounded[b] = True
+    return tuple(bounded)
 
 
 _ZERO = Num("0", 0.0, True)

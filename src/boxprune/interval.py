@@ -366,8 +366,10 @@ def div_down(n: float, d: float) -> float:
         return _MAX
     if r == -_INF:
         return -_INF
-    # r - n/d has the sign of (r*d - n) * d
-    s = _prod_sign(r, d, n)
+    # r - n/d has the sign of (r*d - n) * d; a rounded r*d that differs
+    # from n already tells the sign (see _prod_sign)
+    p = r * d
+    s = (1 if p > n else -1) if p != n else _prod_sign(r, d, n)
     return _next(r, -_INF) if (s > 0 if d > 0.0 else s < 0) else r
 
 
@@ -381,7 +383,8 @@ def div_up(n: float, d: float) -> float:
         return -_MAX
     if r == _INF:
         return _INF
-    s = _prod_sign(r, d, n)
+    p = r * d
+    s = (1 if p > n else -1) if p != n else _prod_sign(r, d, n)
     return _next(r, _INF) if (s < 0 if d > 0.0 else s > 0) else r
 
 
@@ -468,27 +471,27 @@ def sub_bounds(al: float, ah: float, bl: float, bh: float) -> tuple[float, float
 
 def mul_bounds(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
     # The operand signs say which corner products are extreme (the nine-case
-    # table), so each bound rounds one product in one direction; only two
-    # intervals that both straddle zero compare two candidates per bound.
-    # A zero-width [0, 0] operand takes the nonnegative row.
+    # table), so each bound rounds one product x * y down and one u * v up;
+    # only two intervals that both straddle zero compare two candidates per
+    # bound.  A zero-width [0, 0] operand takes the nonnegative row.
     if al >= 0.0:
         if bl >= 0.0:
-            lo, hi = mul_down(al, bl), mul_up(ah, bh)
+            x, y, u, v = al, bl, ah, bh
         elif bh <= 0.0:
-            lo, hi = mul_down(ah, bl), mul_up(al, bh)
+            x, y, u, v = ah, bl, al, bh
         else:
-            lo, hi = mul_down(ah, bl), mul_up(ah, bh)
+            x, y, u, v = ah, bl, ah, bh
     elif ah <= 0.0:
         if bl >= 0.0:
-            lo, hi = mul_down(al, bh), mul_up(ah, bl)
+            x, y, u, v = al, bh, ah, bl
         elif bh <= 0.0:
-            lo, hi = mul_down(ah, bh), mul_up(al, bl)
+            x, y, u, v = ah, bh, al, bl
         else:
-            lo, hi = mul_down(al, bh), mul_up(al, bl)
+            x, y, u, v = al, bh, al, bl
     elif bl >= 0.0:
-        lo, hi = mul_down(al, bh), mul_up(ah, bh)
+        x, y, u, v = al, bh, ah, bh
     elif bh <= 0.0:
-        lo, hi = mul_down(ah, bl), mul_up(al, bl)
+        x, y, u, v = ah, bl, al, bl
     else:
         lo = mul_down(al, bh)
         t = mul_down(ah, bl)
@@ -498,6 +501,33 @@ def mul_bounds(al: float, ah: float, bl: float, bh: float) -> tuple[float, float
         t = mul_up(ah, bh)
         if t > hi:
             hi = t
+        return lo + 0.0, hi + 0.0
+    # mul_down(x, y) and mul_up(u, v), with Dekker's two-product inline
+    # inside _prod_sign's window, where its error term is exact
+    lo = x * y
+    if 1e-100 < lo * lo and x * x + y * y < 1e300:
+        c = _SPLIT * x
+        hx = c - (c - x)
+        lx = x - hx
+        c = _SPLIT * y
+        hy = c - (c - y)
+        ly = y - hy
+        if ((hx * hy - lo) + hx * ly + lx * hy) + lx * ly < 0.0:
+            lo = _next(lo, -_INF)
+    else:
+        lo = mul_down(x, y)
+    hi = u * v
+    if 1e-100 < hi * hi and u * u + v * v < 1e300:
+        c = _SPLIT * u
+        hu = c - (c - u)
+        lu = u - hu
+        c = _SPLIT * v
+        hv = c - (c - v)
+        lv = v - hv
+        if ((hu * hv - hi) + hu * lv + lu * hv) + lu * lv > 0.0:
+            hi = _next(hi, _INF)
+    else:
+        hi = mul_up(u, v)
     return lo + 0.0, hi + 0.0
 
 

@@ -24,7 +24,8 @@ register, an interval value and, in forward mode, the interval partial
 derivatives with respect to the user variables.  An inexact literal enters
 as its one-ulp enclosure, so the operator encloses the system as written.
 A Krawczyk step runs the program once: the same sweep bounds each
-register at c, for f(c), and over X, for J(X).
+register at c, for f(c), and over X where a derivative reads those bounds,
+for J(X).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Iterator
 
 from .boxes import Box
 from .decompose import Csp
-from .interval import _midpoint, add_bounds, add_up, mul_bounds, square_bounds, sub_bounds, sub_down, sub_up
+from .interval import _midpoint, add_bounds, add_up, mul_bounds, square_bounds, sub_bounds, sub_down
 
 __all__ = ["krawczyk"]
 
@@ -47,49 +48,64 @@ _ETA = 5e-324  # 2**-1074, the least positive float
 _TWO_U = 2.0**-52  # twice the unit roundoff
 
 
-def _run(program: tuple[tuple, ...], c: list[float], lo: list[float], hi: list[float]) -> tuple[list, list]:
-    """In one sweep of ``Csp.program``: the value bounds of every register
-    at the point c, and its derivatives over the box lo, hi."""
+def _run(csp: Csp, c: list[float], lo: list[float], hi: list[float]) -> tuple[list, list]:
+    """In one sweep of ``csp.program``: the value bounds of every register
+    at the point c, and its derivatives over the box lo, hi.
+
+    Bounds over the box feed only derivatives, so an operation forms them
+    only where ``csp.bounded`` says a product or a square reads them.  A
+    variable's unit derivative, which sums and differences pass on, scales
+    the other factor by one, exactly, so that product is not formed.
+    """
     points: list[tuple[float, float]] = []
-    values: list[tuple[float, float]] = []
+    values: list[tuple[float, float] | None] = []
     derivs: list[dict[int, tuple[float, float]]] = []
-    for op, a, b in program:
+    for (op, a, b), bounded in zip(csp.program, csp.bounded):
+        value = None
         if op == "var":
             point, value, d = (c[a], c[a]), (lo[a], hi[a]), {a: _ONE}
         elif op == "const":
             point = value = (a, b)
             d = {}
         elif op == "neg":
-            (pl, ph), (al, ah), da = points[a], values[a], derivs[a]
-            point, value, d = (-ph, -pl), (-ah, -al), {j: (-h, -l) for j, (l, h) in da.items()}
+            pl, ph = points[a]
+            point = (-ph, -pl)
+            if bounded:
+                # 0.0 - x keeps the bounds free of -0.0, as the *_bounds
+                # results are, so a unit product can return them as they are
+                al, ah = values[a]
+                value = (0.0 - ah, 0.0 - al)
+            d = {j: (-h, -l) for j, (l, h) in derivs[a].items()}
         elif op == "sq":
             point = square_bounds(*points[a])
-            value = square_bounds(*values[a])
+            if bounded:
+                value = square_bounds(*values[a])
             # d(u^2) = 2u du; doubling rounds only on overflow
             twice = mul_bounds(2.0, 2.0, *values[a])
-            d = {j: mul_bounds(*twice, *dj) for j, dj in derivs[a].items()}
+            d = {j: twice if dj is _ONE else mul_bounds(*twice, *dj) for j, dj in derivs[a].items()}
         elif op == "mul":
             point = mul_bounds(*points[a], *points[b])
             u, v = values[a], values[b]
-            value = mul_bounds(*u, *v)
+            if bounded:
+                value = mul_bounds(*u, *v)
             # d(uv) = v du + u dv
-            d = {j: mul_bounds(*v, *dj) for j, dj in derivs[a].items()}
+            d = {j: v if dj is _ONE else mul_bounds(*v, *dj) for j, dj in derivs[a].items()}
             for j, dj in derivs[b].items():
-                term = mul_bounds(*u, *dj)
+                term = u if dj is _ONE else mul_bounds(*u, *dj)
                 d[j] = add_bounds(*d[j], *term) if j in d else term
         else:
-            (al, ah), (bl, bh) = values[a], values[b]
             da, db = derivs[a], derivs[b]
+            d = dict(da)
             if op == "add":
                 point = add_bounds(*points[a], *points[b])
-                value = add_bounds(al, ah, bl, bh)
-                d = dict(da)
+                if bounded:
+                    value = add_bounds(*values[a], *values[b])
                 for j, dj in db.items():
                     d[j] = add_bounds(*d[j], *dj) if j in d else dj
             else:
                 point = sub_bounds(*points[a], *points[b])
-                value = sub_bounds(al, ah, bl, bh)
-                d = dict(da)
+                if bounded:
+                    value = sub_bounds(*values[a], *values[b])
                 for j, (l, h) in db.items():
                     d[j] = sub_bounds(*d[j], l, h) if j in d else (-h, -l)
         points.append(point)
@@ -124,23 +140,37 @@ def _inverse(a: list[list[float]]) -> list[list[float]] | None:
     return inverse
 
 
+def _radius(lo: float, hi: float, m: float) -> float:
+    """max(sub_up(hi, m), sub_up(m, lo)), a radius of [lo, hi] about m, from
+    one sub_bounds (TwoSum inline): m - lo rounded up is lo - m rounded
+    down, negated."""
+    a, b = sub_bounds(lo, hi, m, m)
+    return -a if -a > b else b
+
+
 def _mid_rad(lo: float, hi: float) -> tuple[float, float]:
     """A float m and a radius r with [lo, hi] inside [m - r, m + r]."""
     m = 0.5 * lo + 0.5 * hi
-    return m, max(sub_up(hi, m), sub_up(m, lo))
+    return m, _radius(lo, hi, m)
+
+
+def _split(fc: list, jac: list) -> tuple[list, list]:
+    """The f(c) bounds ``fc`` as (m, r) pairs, and each J(X) row of ``jac``
+    (a dict of bounds, as in _run) as a list of (j, m, r), by _mid_rad."""
+    return [_mid_rad(l, h) for l, h in fc], [[(j, *_mid_rad(*d)) for j, d in row.items()] for row in jac]
 
 
 def _rows(
-    y: list[list[float]], fc: list, jac: list, c: list[float], lo: list[float], hi: list[float]
+    y: list[list[float]], f: list, jac: list, c: list[float], lo: list[float], hi: list[float]
 ) -> Iterator[tuple[float, float]]:
     """Yield the bounds of each row of K(X) = c - Y f(c) + (I - Y J(X)) (X - c)
-    for the f(c) bounds ``fc``, the J(X) rows ``jac`` (dicts of bounds, as
-    in _run) and the box lo, hi around c.
+    for f(c) and the rows of J(X) split by _split, and the box lo, hi
+    around c.
 
     Each row is one float midpoint and one float radius (Rump, "Fast and
-    parallel interval arithmetic", BIT 1999).  Split every interval of f(c)
-    and J(X) into a float midpoint m and a radius r rounded up (_mid_rad),
-    and X_j - c_j into [-rho_j, rho_j].  Then, exactly, with
+    parallel interval arithmetic", BIT 1999).  Every interval of f(c) and
+    J(X) is split into a float midpoint m and a radius r rounded up
+    (_mid_rad), and X_j - c_j into [-rho_j, rho_j].  Then, exactly, with
     T_i = sum_k y_ik fm_k and M_ij = delta_ij - sum_k y_ik jm_kj,
 
         K_i in c_i - T_i +- (sum_k |y_ik| fr_k + sum_j (|M_ij| + sum_k |y_ik| jr_kj) rho_j).
@@ -175,18 +205,12 @@ def _rows(
     nu = n * _ETA
     tau = 4 * (n + 1) * _ETA
     sigma = 1.0 + (3 * n + 6) * _TWO_U
-    rho = [max(sub_up(h, cj), sub_up(cj, l)) for l, h, cj in zip(lo, hi, c)]
-    f = [_mid_rad(l, h) for l, h in fc]
-    mids = []
+    rho = [_radius(l, h, cj) for l, h, cj in zip(lo, hi, c)]
     v = []
     for (fm, fr), row in zip(f, jac):
-        mid = []
         vk = fr + g * abs(fm) + (len(row) + 1) * _ETA
-        for j, d in row.items():
-            m, r = _mid_rad(*d)
-            mid.append((j, m))
+        for j, m, r in row:
             vk += (r + g * abs(m) + _ETA) * rho[j]
-        mids.append(mid)
         v.append(vk)
     for i, yi in enumerate(y):
         t = 0.0
@@ -194,12 +218,12 @@ def _rows(
         # C_ij, row i of I - Y mid(J)
         ci = [0.0] * n
         ci[i] = 1.0
-        for yik, (fm, _), vk, mid in zip(yi, f, v, mids):
+        for yik, (fm, _), vk, row in zip(yi, f, v, jac):
             if yik == 0.0:
                 continue
             t += yik * fm
             s += abs(yik) * vk
-            for j, m in mid:
+            for j, m, _ in row:
                 ci[j] -= yik * m
         for cij, rj in zip(ci, rho):
             s += (abs(cij) + nu) * rj
@@ -237,15 +261,19 @@ def krawczyk(csp: Csp, box: Box) -> Box:
         return box
     # a float inside each interval
     c = [_midpoint(l, h) for l, h in zip(lo, hi)]
-    points, derivs = _run(csp.program, c, lo, hi)
-    fc = [points[r] for r in csp.outputs]
-    jac = [derivs[r] for r in csp.outputs]
-    y = _inverse([[0.5 * l + 0.5 * h for l, h in (row.get(j, (0.0, 0.0)) for j in range(n))] for row in jac])
+    points, derivs = _run(csp, c, lo, hi)
+    f, jac = _split([points[r] for r in csp.outputs], [derivs[r] for r in csp.outputs])
+    # Y inverts the midpoint of J(X)
+    mid = [[0.0] * n for _ in jac]
+    for mi, row in zip(mid, jac):
+        for j, m, _ in row:
+            mi[j] = m
+    y = _inverse(mid)
     if y is None:
         return box
     narrowed_lo, narrowed_hi = box._lo[:], box._hi[:]
     changed = False
-    for i, (k_lo, k_hi) in enumerate(_rows(y, fc, jac, c, lo, hi)):
+    for i, (k_lo, k_hi) in enumerate(_rows(y, f, jac, c, lo, hi)):
         # meet with X_i
         new_lo = k_lo if k_lo > lo[i] else lo[i]
         new_hi = k_hi if k_hi < hi[i] else hi[i]

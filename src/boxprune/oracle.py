@@ -75,6 +75,8 @@ def grid_solutions(
 
     Samples the axis-aligned box given by ``bounds`` on a regular grid and
     keeps points with |lhs - rhs| <= tol * (1 + |rhs|) for all equations.
+    A point where lhs - rhs overflows is no hit: once rhs is infinite the
+    tolerance is too, and would pass any lhs.
     """
     spec = spec or GridSpec()
     names = sorted(bounds)
@@ -99,6 +101,9 @@ def grid_solutions(
         lv = eval_expr(lhs, env)
         rv = eval_expr(rhs, env)
         mask &= np.abs(lv - rv) <= spec.tol * (1.0 + np.abs(rv))
+        # an overflowing rhs makes that tolerance infinite, so it passes any
+        # lhs; a finite lhs - rhs needs a finite rhs
+        mask &= np.isfinite(rv)
     hits = np.argwhere(mask)
     return [
         {name: float(axes[k][idx[k]]) for k, name in enumerate(names)}

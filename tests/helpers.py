@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 import random
+import re
+import sys
 from collections.abc import Iterable
 from fractions import Fraction
 
@@ -29,6 +31,8 @@ from boxprune import (
     solve,
 )
 from boxprune import search
+from boxprune.decompose import ParseError
+from boxprune.interval import _prod_sign, add_bounds, mul_bounds, mul_down, mul_up, square_bounds, sub_bounds
 
 # Positive root of x^4 + x^2 = 1, i.e. x = sqrt((sqrt(5) - 1) / 2).
 # Frozen from bisect_root; the correctly rounded root is X_STAR_DOWN,
@@ -577,3 +581,164 @@ def check_nodes_against_plain_fixpoints(csp: Csp, engine, nodes) -> int:
                 continue
         assert plain.encloses(final), (box, final, plain)
     return stalled
+
+
+# Reference kernels: interval multiplication and division as composed from
+# mul_down, mul_up and _prod_sign, one call per directed product, before
+# mul_bounds took Dekker's two-product inline and div_down/div_up read the
+# sign of r*d - n from the rounded product first.
+
+
+def mul_bounds_reference(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
+    if al >= 0.0:
+        if bl >= 0.0:
+            lo, hi = mul_down(al, bl), mul_up(ah, bh)
+        elif bh <= 0.0:
+            lo, hi = mul_down(ah, bl), mul_up(al, bh)
+        else:
+            lo, hi = mul_down(ah, bl), mul_up(ah, bh)
+    elif ah <= 0.0:
+        if bl >= 0.0:
+            lo, hi = mul_down(al, bh), mul_up(ah, bl)
+        elif bh <= 0.0:
+            lo, hi = mul_down(ah, bh), mul_up(al, bl)
+        else:
+            lo, hi = mul_down(al, bh), mul_up(al, bl)
+    elif bl >= 0.0:
+        lo, hi = mul_down(al, bh), mul_up(ah, bh)
+    elif bh <= 0.0:
+        lo, hi = mul_down(ah, bl), mul_up(al, bl)
+    else:
+        lo = min(mul_down(al, bh), mul_down(ah, bl))
+        hi = max(mul_up(al, bl), mul_up(ah, bh))
+    return lo + 0.0, hi + 0.0
+
+
+def div_down_reference(n: float, d: float) -> float:
+    if n == 0.0 or math.isinf(d):
+        return 0.0
+    if math.isinf(n):
+        return -math.inf if (n < 0.0) != (d < 0.0) else math.inf
+    r = n / d
+    if r == math.inf:
+        return sys.float_info.max
+    if r == -math.inf:
+        return -math.inf
+    s = _prod_sign(r, d, n)
+    return math.nextafter(r, -math.inf) if (s > 0 if d > 0.0 else s < 0) else r
+
+
+def div_up_reference(n: float, d: float) -> float:
+    if n == 0.0 or math.isinf(d):
+        return 0.0
+    if math.isinf(n):
+        return -math.inf if (n < 0.0) != (d < 0.0) else math.inf
+    r = n / d
+    if r == -math.inf:
+        return -sys.float_info.max
+    if r == math.inf:
+        return math.inf
+    s = _prod_sign(r, d, n)
+    return math.nextafter(r, math.inf) if (s < 0 if d > 0.0 else s > 0) else r
+
+
+# Reference tokenizer: decompose's character loop, one regex match or one
+# character at a time, before a single scanner regex replaced it.  Tokens
+# are (kind, text, line, col) tuples.
+
+_NUM_RE = re.compile(r"(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?")
+_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_OPS = frozenset("+-*^()=;[],")
+
+
+def tokenize_reference(text: str) -> list[tuple[str, str, int, int]]:
+    toks = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            j = text.find("\n", i)
+            if j == -1:
+                break
+            i = j
+            continue
+        m = _NUM_RE.match(text, i)
+        if m:
+            toks.append(("num", m.group(), line, col))
+            col += len(m.group())
+            i = m.end()
+            continue
+        m = _IDENT_RE.match(text, i)
+        if m:
+            toks.append(("ident", m.group(), line, col))
+            col += len(m.group())
+            i = m.end()
+            continue
+        if ch in _OPS:
+            toks.append(("op", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    toks.append(("eof", "", line, col))
+    return toks
+
+
+# Reference sweep: newton._run as it was before it skipped the bounds over
+# the box that no derivative reads and the products with a unit
+# derivative.  It bounds every register at the point c and over the box.
+
+
+def sweep_reference(program, c, lo, hi):
+    one = (1.0, 1.0)
+    points, values, derivs = [], [], []
+    for op, a, b in program:
+        if op == "var":
+            point, value, d = (c[a], c[a]), (lo[a], hi[a]), {a: one}
+        elif op == "const":
+            point = value = (a, b)
+            d = {}
+        elif op == "neg":
+            (pl, ph), (al, ah), da = points[a], values[a], derivs[a]
+            point, value, d = (-ph, -pl), (-ah, -al), {j: (-h, -l) for j, (l, h) in da.items()}
+        elif op == "sq":
+            point = square_bounds(*points[a])
+            value = square_bounds(*values[a])
+            twice = mul_bounds(2.0, 2.0, *values[a])
+            d = {j: mul_bounds(*twice, *dj) for j, dj in derivs[a].items()}
+        elif op == "mul":
+            point = mul_bounds(*points[a], *points[b])
+            u, v = values[a], values[b]
+            value = mul_bounds(*u, *v)
+            d = {j: mul_bounds(*v, *dj) for j, dj in derivs[a].items()}
+            for j, dj in derivs[b].items():
+                term = mul_bounds(*u, *dj)
+                d[j] = add_bounds(*d[j], *term) if j in d else term
+        else:
+            (al, ah), (bl, bh) = values[a], values[b]
+            da, db = derivs[a], derivs[b]
+            d = dict(da)
+            if op == "add":
+                point = add_bounds(*points[a], *points[b])
+                value = add_bounds(al, ah, bl, bh)
+                for j, dj in db.items():
+                    d[j] = add_bounds(*d[j], *dj) if j in d else dj
+            else:
+                point = sub_bounds(*points[a], *points[b])
+                value = sub_bounds(al, ah, bl, bh)
+                for j, (l, h) in db.items():
+                    d[j] = sub_bounds(*d[j], l, h) if j in d else (-h, -l)
+        points.append(point)
+        values.append(value)
+        derivs.append(d)
+    return points, derivs

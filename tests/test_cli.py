@@ -385,6 +385,15 @@ def test_check_grid_with_no_candidates(problem_file, capsys):
     assert "grid check: 0 candidate points, 0 enclosed (all enclosed)" in out
 
 
+def test_check_grid_ignores_an_overflowing_rhs(problem_file, capsys):
+    # every grid point used to pass |lhs - rhs| <= tol (1 + |rhs|) once the
+    # rhs overflowed, and the grid then disagreed with a proof of no root
+    code = main([problem_file("var b in [-1, 0]; constraint b - 1e300 = 1e300^2;"), "--check-grid", "5"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "grid check: 0 candidate points, 0 enclosed (all enclosed)" in out
+
+
 def test_check_grid_json(problem_file, capsys):
     code = main([problem_file(POINT_SYSTEM), "--check-grid", "5", "--format", "json"])
     assert code == 0

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -21,13 +22,18 @@ from boxprune.decompose import (
     Pow,
     Sub,
     Var,
+    _float_ge,
+    _float_le,
+    _fraction,
     _negated_num,
+    _text_fraction,
+    _tokenize,
     decompose,
     render_expr,
 )
 from boxprune.oracle import constraint_residual, equation_residual, extend_assignment
 
-from helpers import QUARTIC_UNIT, QUARTIC_WIDE, X_STAR, Y_STAR, make_csp
+from helpers import QUARTIC_UNIT, QUARTIC_WIDE, X_STAR, Y_STAR, make_csp, tokenize_reference
 from boxprune import Box, Constraint, Csp
 
 INF = math.inf
@@ -80,6 +86,40 @@ def test_comments_and_whitespace():
     text = "# heading\nvar x in [0, 1]; # trailing\n\n  constraint x = 1;\n"
     decls, equations = parse_problem(text)
     assert len(decls) == 1 and len(equations) == 1
+
+
+def _scan(tokenize, text):
+    """Tokens as tuples, or the ParseError's message and position."""
+    try:
+        return [tuple(tok) for tok in tokenize(text)]
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
+def test_tokenizer_edge_cases():
+    # a final comment with no newline puts eof at its '#'
+    assert _scan(_tokenize, "var x; # done")[-1] == ("eof", "", 1, 8)
+    assert _scan(_tokenize, "var x;\n  #")[-1] == ("eof", "", 2, 3)
+    # a form feed is no whitespace here
+    assert _scan(_tokenize, "var x;\fvar y;") == ("line 1, column 7: unexpected character '\\x0c'", 1, 7)
+    # \d is any Unicode decimal digit, as in a literal's Decimal, but '²'
+    # is no digit
+    assert _scan(_tokenize, "x = \u0663.5e1;")[2] == ("num", "\u0663.5e1", 1, 5)
+    assert _scan(_tokenize, "x^\u00b2") == ("line 1, column 3: unexpected character '²'", 1, 3)
+    for text in ("var x; # done", "var x;\fvar y;", "x = \u0663.5e1;", "x^\u00b2", "\r\n\t.5 .e"):
+        assert _scan(_tokenize, text) == _scan(tokenize_reference, text)
+
+
+_TOKENIZER_ALPHABET = st.sampled_from(
+    [*"019.eE+-_aZx*^()=;[],# \t\r\n\f\v$@", "var", "in", "inf", "\u0663", "\u00b2", "\u00e9", "\u3000"]
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(_TOKENIZER_ALPHABET | st.characters(), max_size=40).map("".join))
+@example("1.5e+3x#c\n2.")
+def test_tokenizer_matches_the_character_loop(text):
+    assert _scan(_tokenize, text) == _scan(tokenize_reference, text)
 
 
 def test_parse_error_positions():
@@ -235,6 +275,36 @@ def test_number_exactness_flags():
     assert Num.from_text("0.5").exact
     assert Num.from_text("3").exact
     assert not Num.from_text("0.1").exact
+
+
+def _check_literal(text):
+    """Num.from_text and a declaration bound of ``text``, and of its
+    negation as a bound, against the Fraction path."""
+    value = float(_text_fraction(text))
+    assert Num.from_text(text) == Num(text, value, Fraction(value) == _text_fraction(text))
+    for bound in (text, text[1:] if text.startswith("-") else "-" + text):
+        (_, iv), = parse_problem(f"var x in [{bound}, {bound}];")[0]
+        exact = _fraction(Decimal(bound))
+        assert (iv.lo, iv.hi) == (_float_le(exact), _float_ge(exact)), bound
+
+
+@pytest.mark.parametrize("digits", range(1, 16))
+def test_integer_literals_take_the_exact_path(digits):
+    # fewer than 16 ASCII digits skip the Fraction path; they must agree
+    rng = random.Random(digits)
+    texts = [str(rng.randrange(10 ** (digits - 1), 10**digits)) for _ in range(20)]
+    texts += ["9" * digits, "1" + "0" * (digits - 1), "0" * digits, "0" * (digits - 1) + "7"]
+    for text in texts:
+        _check_literal(text)
+
+
+def test_literals_beside_the_exact_path_take_the_fraction_path():
+    # 16 digits may exceed 2^53; '\u0663' is a digit to Decimal and int
+    for text in ("-0", "-00", "0000000000000000", "9999999999999999", "9007199254740993", "\u0663", "12\u0663"):
+        _check_literal(text)
+    # '²' passes str.isdigit but is no number to Decimal
+    with pytest.raises(ArithmeticError):
+        Num.from_text("\u00b2")
 
 
 # Decomposition.

@@ -19,6 +19,7 @@ from boxprune.interval import (
     div_down,
     div_up,
     mul,
+    mul_bounds,
     mul_down,
     mul_up,
     sqrt_down,
@@ -29,6 +30,8 @@ from boxprune.interval import (
     sub_down,
     sub_up,
 )
+
+from helpers import div_down_reference, div_up_reference, mul_bounds_reference
 
 INF = math.inf
 MAX = sys.float_info.max
@@ -464,6 +467,72 @@ def test_hypothesis_square_encloses_real_square(a, b):
     got = square(ix)
     for px in (ix.lo, ix.midpoint(), ix.hi):
         assert Fraction(got.lo) <= Fraction(px) ** 2 <= Fraction(got.hi)
+
+
+# Operands for the kernel identity test: magnitudes about 1, at the edges
+# of the two-product's window (|x|, |y| near 1e150 = 2**498.3, and |x*y|
+# near 1e-50 = 2**-166.1 from two factors near 2**-83, or one near 1 or
+# 1e150), subnormals, the largest floats, signed zeros and infinities.
+_EDGE_EXPONENTS = st.sampled_from(
+    [-1074, -1050, -1022, -670, -665, -170, -166, -163, -86, -83, -80, 0, 1, 495, 498, 499, 502, 1020, 1024]
+)
+_EDGE_FLOATS = st.one_of(
+    st.builds(
+        lambda m, e, k: math.ldexp(m, min(e + k, 1024)),
+        st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True, allow_subnormal=False),
+        _EDGE_EXPONENTS,
+        st.integers(-2, 2),
+    ),
+    st.builds(
+        lambda x, k: x * (1 + k * 2.0**-52),
+        st.sampled_from([1e150, -1e150, 1e-50, -1e-50, 1e-25, -1e-25]),
+        st.integers(-3, 3),
+    ),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, MAX, -MAX, INF, -INF]),
+)
+
+
+@st.composite
+def _edge_bounds(draw, partner=None):
+    """A nonempty interval's bounds; with ``partner``, each bound is by
+    turns 1e-50 over one of the partner's bounds, nudged by a few ulps."""
+    a, b = draw(_EDGE_FLOATS), draw(_EDGE_FLOATS)
+    ends = [x for x in partner or () if x != 0.0]
+    if ends and draw(st.booleans()):
+        t = draw(st.sampled_from([1e-50, -1e-50]))
+        a, b = (t / draw(st.sampled_from(ends)) * (1 + draw(st.integers(-4, 4)) * 2.0**-52) for _ in "ab")
+    shape = draw(st.sampled_from(["any", "straddle", "point"]))
+    if shape == "straddle":
+        a, b = -abs(a), abs(b)
+    elif shape == "point":
+        b = a
+    lo, hi = min(a, b), max(a, b)
+    return (MAX if lo == INF else lo), (-MAX if hi == -INF else hi)
+
+
+@st.composite
+def _factor_pairs(draw):
+    a = draw(_edge_bounds())
+    return a, draw(_edge_bounds(partner=a))
+
+
+def _hex(*xs):
+    return tuple(x.hex() for x in xs)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(_factor_pairs())
+def test_kernels_match_the_composed_reference_bit_for_bit(pair):
+    # mul_bounds with the two-product inline, and div_down/div_up with
+    # the sign read first from r*d, against the composition of mul_down,
+    # mul_up and _prod_sign that they replace
+    (al, ah), (bl, bh) = pair
+    assert _hex(*mul_bounds(al, ah, bl, bh)) == _hex(*mul_bounds_reference(al, ah, bl, bh))
+    assert _hex(*mul_bounds(bl, bh, al, ah)) == _hex(*mul_bounds_reference(bl, bh, al, ah))
+    for n in (al, ah):
+        for d in (bl, bh):
+            if d != 0.0:
+                assert _hex(div_down(n, d), div_up(n, d)) == _hex(div_down_reference(n, d), div_up_reference(n, d))
 
 
 def test_no_operation_produces_nan_or_inverted_bounds():

@@ -23,7 +23,7 @@ from boxprune import (
 )
 from boxprune import search
 from boxprune.decompose import Add, Neg, Num, Pow, Sub, Var
-from boxprune.newton import _inverse, _rows, _run
+from boxprune.newton import _inverse, _rows, _run, _split
 
 from helpers import (
     QUARTIC_UNIT,
@@ -33,7 +33,9 @@ from helpers import (
     check_nodes_against_plain_fixpoints,
     holds_point,
     quartic_csp_xyzu,
+    random_system_text,
     solve_by_node,
+    sweep_reference,
 )
 from test_acceptance import _linear_system, _parabola_system
 
@@ -175,7 +177,8 @@ def _exact_row(i, y, fc, jac, c, lo, hi):
 def test_each_row_of_k_encloses_its_exact_interval_row(inputs):
     # the midpoint-radius row against the interval formula it replaces,
     # evaluated without rounding
-    for i, (k_lo, k_hi) in enumerate(_rows(*inputs)):
+    y, fc, jac, c, lo, hi = inputs
+    for i, (k_lo, k_hi) in enumerate(_rows(y, *_split(fc, jac), c, lo, hi)):
         assert not (math.isnan(k_lo) or math.isnan(k_hi))
         exact_lo, exact_hi = _exact_row(i, *inputs)
         # plain flags keep pytest from printing the exact rationals
@@ -332,7 +335,7 @@ def test_the_program_is_each_equation_as_written(text):
     for _ in range(20):
         # dyadic points, so the program's inputs are exact
         point = [rng.randint(-64, 64) / 32 for _ in csp.user_vars]
-        values, derivs = _run(csp.program, point, point, point)
+        values, derivs = _run(csp, point, point, point)
         exact_point = {name: Fraction(p) for name, p in zip(csp.user_vars, point)}
         for (lhs, rhs), r in zip(csp.source_equations, csp.outputs):
             assert set(derivs[r]) == {index[name] for name in _names(lhs) | _names(rhs)}
@@ -364,9 +367,34 @@ def test_the_sweep_bounds_the_point_and_the_box_apart(text):
         c, other_c = draw(), draw()
         lo, hi = map(list, zip(*(sorted(pair) for pair in zip(draw(), draw()))))
         other_lo, other_hi = map(list, zip(*(sorted(pair) for pair in zip(draw(), draw()))))
-        points, derivs = _run(csp.program, c, lo, hi)
-        assert _run(csp.program, other_c, lo, hi)[1] == derivs
-        assert _run(csp.program, c, other_lo, other_hi)[0] == points
+        points, derivs = _run(csp, c, lo, hi)
+        assert _run(csp, other_c, lo, hi)[1] == derivs
+        assert _run(csp, c, other_lo, other_hi)[0] == points
+
+
+def _bits(bounds):
+    return tuple(x.hex() for x in bounds)
+
+
+def test_the_sweep_matches_one_that_bounds_every_register():
+    # skipping the bounds over the box that nothing reads, and the products
+    # with a unit derivative, leaves f(c) and every derivative bit for bit
+    # as a sweep that forms all of them; boxes with zero and integer bounds
+    # give the signed zeros a chance to show
+    rng = random.Random(5)
+    texts = [broyden(4), broyden(2, repeated=True), QUARTIC_WIDE] + [random_system_text(rng) for _ in range(150)]
+    for text in texts:
+        csp = compile_problem(text)
+        for _ in range(4):
+            ends = [sorted(rng.choice((0.0, 1.0, -2.0, rng.uniform(-3, 3))) for _ in "ab") for _ in csp.user_vars]
+            lo, hi = [l for l, _ in ends], [h for _, h in ends]
+            c = [rng.choice((l, h, 0.5 * l + 0.5 * h)) for l, h in ends]
+            points, derivs = _run(csp, c, lo, hi)
+            ref_points, ref_derivs = sweep_reference(csp.program, c, lo, hi)
+            assert [_bits(p) for p in points] == [_bits(p) for p in ref_points], text
+            assert [{j: _bits(d) for j, d in row.items()} for row in derivs] == [
+                {j: _bits(d) for j, d in row.items()} for row in ref_derivs
+            ], text
 
 
 def test_krawczyk_leaves_a_hand_built_csp_alone():

@@ -126,6 +126,15 @@ def test_grid_rejects_oversized_products():
     assert grid_solutions(eqs, bounds, GridSpec(n=11, tol=1e-9)) != []
 
 
+def test_grid_drops_points_where_the_difference_overflows():
+    # rhs = 1e300^2 overflows to inf, and so does the tolerance 1e-7 (1 + |rhs|)
+    eqs = parse_problem("var b in [-1, 0]; constraint b - 1e300 = 1e300^2;")[1]
+    assert grid_solutions(eqs, {"b": (-1.0, 0.0)}, GridSpec(n=5)) == []
+    # a finite difference at a finite rhs still counts
+    eqs = parse_problem("var b in [-1, 0]; constraint b * 1e300 = -1e300;")[1]
+    assert grid_solutions(eqs, {"b": (-1.0, 0.0)}, GridSpec(n=5)) == [{"b": -1.0}]
+
+
 def test_grid_trivial_identity_keeps_every_point():
     eqs = parse_problem("var x; var y; constraint x = x;")[1]
     hits = grid_solutions(eqs, {"x": (0.0, 1.0), "y": (0.0, 1.0)}, GridSpec(n=5))
