@@ -19,9 +19,7 @@ from typing import Union
 
 from .interval import _INF, EMPTY, FULL, Interval, _fmt, _raw
 
-VarName = str
-
-__all__ = ["VarName", "Box", "empty_box"]
+__all__ = ["Box", "empty_box"]
 
 
 class Box:

@@ -177,7 +177,7 @@ def run(args: argparse.Namespace) -> int:
         else:
             with open(args.input, "r", encoding="utf-8") as handle:
                 text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
 
@@ -235,6 +235,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--max-boxes must be at least 1, got {args.max_boxes}")
     if args.check_grid is not None and args.check_grid < 2:
         parser.error(f"--check-grid needs at least 2 samples per axis, got {args.check_grid}")
+    if args.check_grid is not None and args.propagate_only:
+        parser.error("--check-grid checks a search's boxes; --propagate-only runs no search")
     try:
         return run(args)
     except Exception as exc:

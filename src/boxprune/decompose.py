@@ -21,9 +21,10 @@ exponent above ``MAX_EXPONENT`` (2^64) is a ParseError too.
 
 ``decompose`` rewrites each equation into primitive constraints over
 {sum, mul, sq, const}, introducing one auxiliary variable per distinct
-non-leaf subexpression (structurally identical subtrees are shared), except
-that an equation whose one side is a bare variable or literal names the
-other side's root directly instead of spending an auxiliary on it.
+non-leaf subexpression (structurally identical subtrees are shared).  An
+equation names one side, a bare variable before an expression before a
+literal, and then binds the literal to that name or names the other
+side's root after it, so the second side spends no auxiliary of its own.
 Subtraction ``l - r = t`` becomes ``sum(t, r, l)``, negation uses a shared
 zero constant, and powers expand by square and multiply, so ``x^4 + x^2``
 shares its ``x^2`` node.  Decimal literals that are not exactly
@@ -446,9 +447,11 @@ class Csp:
     """A flattened constraint system.
 
     ``constraints`` hold primitive constraints with ids 0..m-1 in emission
-    order.  ``variables`` is the union of user variables and auxiliaries;
-    ``initial_box`` binds all of them (auxiliaries are unconstrained unless
-    they stand for an inexact literal).  ``aux_defs`` lists, in dependency
+    order.  ``initial_box`` binds the user variables and the auxiliaries
+    (auxiliaries are unconstrained unless they stand for an inexact
+    literal).  ``variables``, the names it binds, and ``user_vars``, the
+    declared names in declaration order, are derived from the initial box
+    and ``declarations``.  ``aux_defs`` lists, in dependency
     order, how to evaluate each auxiliary from earlier values, which is what
     brute-force checking uses to extend a user-variable assignment.
 
@@ -473,32 +476,28 @@ class Csp:
     run needs register r's bounds over a box: a product or a square reads
     them for its derivative, directly or through sums and negations.
 
-    Construction raises ValueError when the initial box does not bind
-    exactly ``variables``, when the ids are not 0..m-1 in order, or when a
-    constraint names an undeclared variable.
+    Construction raises ValueError when the ids are not 0..m-1 in order,
+    or when a constraint names a variable the initial box does not bind.
     """
 
     constraints: tuple[Constraint, ...]
-    variables: frozenset[str]
-    user_vars: tuple[str, ...]
     initial_box: Box
     source_equations: tuple[tuple[ExprAst, ExprAst], ...]
     declarations: tuple[tuple[str, Interval], ...]
     aux_defs: tuple[tuple[str, str, tuple], ...]
     program: tuple[tuple, ...] = field(default=(), repr=False)
     outputs: tuple[int, ...] = field(default=(), repr=False)
+    variables: frozenset[str] = field(init=False, repr=False, compare=False)
+    user_vars: tuple[str, ...] = field(init=False, repr=False, compare=False)
     names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     watchers: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     lifted: tuple[Lifted, ...] = field(init=False, repr=False, compare=False)
     bounded: tuple[bool, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        names = tuple(sorted(self.variables))
         # the system's boxes share the initial box's name -> slot map
         slot = self.initial_box._slot
-        if tuple(slot) != names:
-            raise ValueError("the initial box does not bind exactly the system's variables")
-        watchers: list[list[int]] = [[] for _ in names]
+        watchers: list[list[int]] = [[] for _ in slot]
         for cid, con in enumerate(self.constraints):
             if con.cid != cid:
                 raise ValueError(f"constraint at position {cid} has id {con.cid}")
@@ -506,7 +505,9 @@ class Csp:
                 if v not in slot:
                     raise ValueError(f"constraint c{cid} names undeclared variable {v!r}")
                 watchers[slot[v]].append(cid)
-        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "variables", frozenset(slot))
+        object.__setattr__(self, "user_vars", tuple(name for name, _ in self.declarations))
+        object.__setattr__(self, "names", tuple(slot))
         object.__setattr__(self, "watchers", tuple(map(tuple, watchers)))
         object.__setattr__(self, "lifted", tuple(lift(con, slot) for con in self.constraints))
         object.__setattr__(self, "bounded", _bounded(self.program))
@@ -526,6 +527,9 @@ def _bounded(program: tuple[tuple, ...]) -> tuple[bool, ...]:
 
 
 _ZERO = Num("0", 0.0, True)
+# the rank of an equation side: a bare variable names it first, a literal last
+_RANK = {Var: 0, Num: 2}
+_OPS = {Add: "add", Sub: "sub", Mul: "mul"}
 
 
 def decompose(
@@ -535,8 +539,7 @@ def decompose(
     box: dict[str, Interval] = {name: iv for name, iv in declarations}
     if len(box) != len(declarations):
         raise ValueError("duplicate declaration")
-    user_vars = tuple(name for name, _ in declarations)
-    index = {name: j for j, name in enumerate(user_vars)}
+    index = {name: j for j, (name, _) in enumerate(declarations)}
     constraints: list[Constraint] = []
     aux_defs: list[tuple[str, str, tuple]] = []
     cache: dict[tuple, str] = {}
@@ -570,124 +573,92 @@ def decompose(
         iv = Interval(node.value, node.value) if node.exact else node.enclosure()
         return reg(("const", iv.lo, iv.hi))
 
+    def bind(name: str, num: Num) -> None:
+        if num.exact:
+            emit("const", (name,), value=num.value)
+        else:
+            box[name] = box[name].intersect(num.enclosure())
+
     def rep_num(num: Num) -> str:
         key = ("num", Decimal(num.text))
-        if key in cache:
-            return cache[key]
-        t = fresh()
-        if num.exact:
+        t = cache.get(key)
+        if t is None:
+            t = cache[key] = fresh()
             box[t] = FULL
-            emit("const", (t,), value=num.value)
-        else:
-            box[t] = num.enclosure()
-        aux_defs.append((t, "const", (num.value,)))
-        cache[key] = t
+            bind(t, num)
+            aux_defs.append((t, "const", (num.value,)))
         return t
 
-    def finish(key: tuple, instruction: tuple, operands: tuple, emitter, target: str | None) -> tuple[str, int]:
+    def node(op: str, a: str, ra: int, b: str | None = None, rb: int | None = None, target: str | None = None):
+        """The name and register of ``op`` over named operands a and b (b
+        None for "sq" and "neg"); a new name is ``target`` if given."""
         # names are shared by key and registers by structure, even where
         # the key's name is a user variable that a targeted merge aliased
-        r = reg(instruction)
-        if key in cache:
-            return cache[key], r
-        out = target if target is not None else fresh()
-        if out not in box:
-            box[out] = FULL
-        emitter(out)
+        r = reg((op, ra, rb))
+        key = (op, b, a) if (op == "add" or op == "mul") and b < a else (op, a, b)
+        out = cache.get(key)
+        if out is not None:
+            return out, r
+        out = cache[key] = fresh() if target is None else target
+        box.setdefault(out, FULL)
+        if op == "add":
+            emit("sum", (a, b, out))
+        elif op == "sub":
+            emit("sum", (out, b, a))
+        elif op == "mul":
+            emit("mul", (a, b, out))
+        elif op == "sq":
+            emit("sq", (a, out))
+        else:
+            emit("sum", (out, a, rep_num(_ZERO)))
         if target is None:
-            aux_defs.append((out, instruction[0], operands))
-        cache[key] = out
+            aux_defs.append((out, op, (a,) if b is None else (a, b)))
         return out, r
 
-    def pow_chain(base: str, base_reg: int, k: int, target: str | None = None) -> tuple[str, int]:
+    def power(a: str, ra: int, k: int, target: str | None = None) -> tuple[str, int]:
         if k == 1:
-            return base, base_reg
-        if k % 2 == 0:
-            h, rh = pow_chain(base, base_reg, k // 2)
-            return finish(("sq", h), ("sq", rh, None), (h,), lambda out: emit("sq", (h, out)), target)
-        h, rh = pow_chain(base, base_reg, k - 1)
-        key = ("mul",) + tuple(sorted((h, base)))
-        return finish(key, ("mul", rh, base_reg), (h, base), lambda out: emit("mul", (h, base, out)), target)
+            return a, ra
+        if k % 2:
+            return node("mul", *power(a, ra, k - 1), a, ra, target)
+        return node("sq", *power(a, ra, k // 2), target=target)
 
-    def rep(node: ExprAst, target: str | None = None) -> tuple[str, int]:
+    def rep(e: ExprAst, target: str | None = None) -> tuple[str, int]:
         """The node's name in the constraints and its register in the program."""
-        if isinstance(node, Var):
-            return node.name, leaf(node)
-        if isinstance(node, Num):
-            return rep_num(node), leaf(node)
-        if isinstance(node, Pow):
-            return pow_chain(*rep(node.base), node.exponent, target)
-        if isinstance(node, Add):
-            (a, ra), (b, rb) = rep(node.lhs), rep(node.rhs)
-            key = ("add",) + tuple(sorted((a, b)))
-            return finish(key, ("add", ra, rb), (a, b), lambda out: emit("sum", (a, b, out)), target)
-        if isinstance(node, Sub):
-            (a, ra), (b, rb) = rep(node.lhs), rep(node.rhs)
-            return finish(("sub", a, b), ("sub", ra, rb), (a, b), lambda out: emit("sum", (out, b, a)), target)
-        if isinstance(node, Mul):
-            (a, ra), (b, rb) = rep(node.lhs), rep(node.rhs)
-            key = ("mul",) + tuple(sorted((a, b)))
-            return finish(key, ("mul", ra, rb), (a, b), lambda out: emit("mul", (a, b, out)), target)
-        if isinstance(node, Neg):
-            a, ra = rep(node.operand)
-            return finish(
-                ("neg", a),
-                ("neg", ra, None),
-                (a,),
-                lambda out: emit("sum", (out, a, rep_num(_ZERO))),
-                target,
-            )
-        raise TypeError(f"not an expression node: {node!r}")
+        if isinstance(e, Var):
+            return e.name, leaf(e)
+        if isinstance(e, Num):
+            return rep_num(e), leaf(e)
+        if isinstance(e, Pow):
+            return power(*rep(e.base), e.exponent, target)
+        if isinstance(e, Neg):
+            return node("neg", *rep(e.operand), target=target)
+        if type(e) not in _OPS:
+            raise TypeError(f"not an expression node: {e!r}")
+        return node(_OPS[type(e)], *rep(e.lhs), *rep(e.rhs), target)
 
     def tie(a: str, b: str) -> None:
         # encode a = b as a + 0 = b
-        if a == b:
-            return
-        z = rep_num(_ZERO)
-        emit("sum", (a, z, b))
+        if a != b:
+            emit("sum", (a, rep_num(_ZERO), b))
 
-    def bind_const(var: str, num: Num) -> None:
-        if num.exact:
-            emit("const", (var,), value=num.value)
-        else:
-            box[var] = box[var].intersect(num.enclosure())
-
-    for lhs, rhs in equations:
-        l_var, r_var = isinstance(lhs, Var), isinstance(rhs, Var)
-        l_num, r_num = isinstance(lhs, Num), isinstance(rhs, Num)
+    for sides in equations:
         # the registers of lhs and rhs; an expression side gets its own
         # from the walk that names it
-        sides = [leaf(side) if isinstance(side, (Var, Num)) else None for side in (lhs, rhs)]
-        if l_var and r_var:
-            tie(lhs.name, rhs.name)
-        elif l_num and r_num:
-            if Decimal(lhs.text) != Decimal(rhs.text):
-                tie(rep_num(lhs), rep_num(rhs))
-        elif l_var or r_var:
-            var = lhs.name if l_var else rhs.name
-            other = rhs if l_var else lhs
-            if isinstance(other, Num):
-                bind_const(var, other)
+        regs = [leaf(side) if isinstance(side, (Var, Num)) else None for side in sides]
+        i, j = sorted((0, 1), key=lambda k: _RANK.get(type(sides[k]), 1))
+        first, second = sides[i], sides[j]
+        # a literal equal to itself needs no name
+        if not (isinstance(first, Num) and Decimal(first.text) == Decimal(second.text)):
+            name, regs[i] = rep(first)
+            if isinstance(second, Num) and not isinstance(first, Num):
+                bind(name, second)
             else:
-                r, sides[1 if l_var else 0] = rep(other, target=var)
-                if r != var:
-                    tie(var, r)
-        elif l_num or r_num:
-            num = lhs if l_num else rhs
-            other = rhs if l_num else lhs
-            r, sides[1 if l_num else 0] = rep(other)
-            bind_const(r, num)
-        else:
-            rl, sides[0] = rep(lhs)
-            rr, sides[1] = rep(rhs, target=rl)
-            if rr != rl:
-                tie(rl, rr)
-        outputs.append(reg(("sub", *sides)))
+                other, regs[j] = rep(second, target=name)
+                tie(name, other)
+        outputs.append(reg(("sub", *regs)))
 
     return Csp(
         constraints=tuple(constraints),
-        variables=frozenset(box),
-        user_vars=user_vars,
         initial_box=Box(box),
         source_equations=tuple(equations),
         declarations=tuple(declarations),

@@ -12,6 +12,7 @@ import random
 import re
 import sys
 from collections.abc import Iterable
+from decimal import Decimal
 from fractions import Fraction
 
 from boxprune import (
@@ -31,7 +32,7 @@ from boxprune import (
     solve,
 )
 from boxprune import search
-from boxprune.decompose import ParseError
+from boxprune.decompose import Add, ExprAst, Mul, Neg, Num, ParseError, Pow, Sub, Var
 from boxprune.interval import _prod_sign, add_bounds, mul_bounds, mul_down, mul_up, square_bounds, sub_bounds
 
 # Positive root of x^4 + x^2 = 1, i.e. x = sqrt((sqrt(5) - 1) / 2).
@@ -64,13 +65,11 @@ def box_bits(box: Box) -> tuple[tuple[str, str, str], ...]:
     return tuple((name, iv.lo.hex(), iv.hi.hex()) for name, iv in box.items())
 
 
-def make_csp(constraints, bindings, user_vars=None) -> Csp:
+def make_csp(constraints, bindings) -> Csp:
     """Wrap hand-built constraints plus an initial box into a Csp."""
     box = bindings if isinstance(bindings, Box) else Box(bindings)
     return Csp(
         constraints=tuple(constraints),
-        variables=box.scope,
-        user_vars=tuple(box.names) if user_vars is None else tuple(user_vars),
         initial_box=box,
         source_equations=(),
         declarations=tuple(box.items()),
@@ -742,3 +741,176 @@ def sweep_reference(program, c, lo, hi):
         values.append(value)
         derivs.append(d)
     return points, derivs
+
+
+_ZERO_REF = Num("0", 0.0, True)
+
+
+def decompose_reference(
+    declarations: list[tuple[str, Interval]],
+    equations: list[tuple[ExprAst, ExprAst]],
+) -> Csp:
+    """The flattening walk as it was written with one emitter per operator
+    and one case per pair of side kinds: a reference that decompose must
+    match field for field."""
+    box: dict[str, Interval] = {name: iv for name, iv in declarations}
+    if len(box) != len(declarations):
+        raise ValueError("duplicate declaration")
+    user_vars = tuple(name for name, _ in declarations)
+    index = {name: j for j, name in enumerate(user_vars)}
+    constraints: list[Constraint] = []
+    aux_defs: list[tuple[str, str, tuple]] = []
+    cache: dict[tuple, str] = {}
+    program: list[tuple] = []
+    registers: dict[tuple, int] = {}
+    outputs: list[int] = []
+    counter = 0
+
+    def fresh() -> str:
+        nonlocal counter
+        name = f"_t{counter}"
+        counter += 1
+        return name
+
+    def emit(kind: str, args: tuple[str, ...], value: float | None = None) -> None:
+        constraints.append(Constraint(kind, args, cid=len(constraints), value=value))
+
+    def reg(instruction: tuple) -> int:
+        # structurally equal instructions share one register
+        r = registers.get(instruction)
+        if r is None:
+            r = registers[instruction] = len(program)
+            program.append(instruction)
+        return r
+
+    def leaf(node: Var | Num) -> int:
+        if isinstance(node, Var):
+            if node.name not in index:
+                raise ValueError(f"undeclared variable {node.name!r}")
+            return reg(("var", index[node.name], None))
+        iv = Interval(node.value, node.value) if node.exact else node.enclosure()
+        return reg(("const", iv.lo, iv.hi))
+
+    def rep_num(num: Num) -> str:
+        key = ("num", Decimal(num.text))
+        if key in cache:
+            return cache[key]
+        t = fresh()
+        if num.exact:
+            box[t] = FULL
+            emit("const", (t,), value=num.value)
+        else:
+            box[t] = num.enclosure()
+        aux_defs.append((t, "const", (num.value,)))
+        cache[key] = t
+        return t
+
+    def finish(key: tuple, instruction: tuple, operands: tuple, emitter, target: str | None) -> tuple[str, int]:
+        # names are shared by key and registers by structure, even where
+        # the key's name is a user variable that a targeted merge aliased
+        r = reg(instruction)
+        if key in cache:
+            return cache[key], r
+        out = target if target is not None else fresh()
+        if out not in box:
+            box[out] = FULL
+        emitter(out)
+        if target is None:
+            aux_defs.append((out, instruction[0], operands))
+        cache[key] = out
+        return out, r
+
+    def pow_chain(base: str, base_reg: int, k: int, target: str | None = None) -> tuple[str, int]:
+        if k == 1:
+            return base, base_reg
+        if k % 2 == 0:
+            h, rh = pow_chain(base, base_reg, k // 2)
+            return finish(("sq", h), ("sq", rh, None), (h,), lambda out: emit("sq", (h, out)), target)
+        h, rh = pow_chain(base, base_reg, k - 1)
+        key = ("mul",) + tuple(sorted((h, base)))
+        return finish(key, ("mul", rh, base_reg), (h, base), lambda out: emit("mul", (h, base, out)), target)
+
+    def rep(node: ExprAst, target: str | None = None) -> tuple[str, int]:
+        """The node's name in the constraints and its register in the program."""
+        if isinstance(node, Var):
+            return node.name, leaf(node)
+        if isinstance(node, Num):
+            return rep_num(node), leaf(node)
+        if isinstance(node, Pow):
+            return pow_chain(*rep(node.base), node.exponent, target)
+        if isinstance(node, Add):
+            (a, ra), (b, rb) = rep(node.lhs), rep(node.rhs)
+            key = ("add",) + tuple(sorted((a, b)))
+            return finish(key, ("add", ra, rb), (a, b), lambda out: emit("sum", (a, b, out)), target)
+        if isinstance(node, Sub):
+            (a, ra), (b, rb) = rep(node.lhs), rep(node.rhs)
+            return finish(("sub", a, b), ("sub", ra, rb), (a, b), lambda out: emit("sum", (out, b, a)), target)
+        if isinstance(node, Mul):
+            (a, ra), (b, rb) = rep(node.lhs), rep(node.rhs)
+            key = ("mul",) + tuple(sorted((a, b)))
+            return finish(key, ("mul", ra, rb), (a, b), lambda out: emit("mul", (a, b, out)), target)
+        if isinstance(node, Neg):
+            a, ra = rep(node.operand)
+            return finish(
+                ("neg", a),
+                ("neg", ra, None),
+                (a,),
+                lambda out: emit("sum", (out, a, rep_num(_ZERO_REF))),
+                target,
+            )
+        raise TypeError(f"not an expression node: {node!r}")
+
+    def tie(a: str, b: str) -> None:
+        # encode a = b as a + 0 = b
+        if a == b:
+            return
+        z = rep_num(_ZERO_REF)
+        emit("sum", (a, z, b))
+
+    def bind_const(var: str, num: Num) -> None:
+        if num.exact:
+            emit("const", (var,), value=num.value)
+        else:
+            box[var] = box[var].intersect(num.enclosure())
+
+    for lhs, rhs in equations:
+        l_var, r_var = isinstance(lhs, Var), isinstance(rhs, Var)
+        l_num, r_num = isinstance(lhs, Num), isinstance(rhs, Num)
+        # the registers of lhs and rhs; an expression side gets its own
+        # from the walk that names it
+        sides = [leaf(side) if isinstance(side, (Var, Num)) else None for side in (lhs, rhs)]
+        if l_var and r_var:
+            tie(lhs.name, rhs.name)
+        elif l_num and r_num:
+            if Decimal(lhs.text) != Decimal(rhs.text):
+                tie(rep_num(lhs), rep_num(rhs))
+        elif l_var or r_var:
+            var = lhs.name if l_var else rhs.name
+            other = rhs if l_var else lhs
+            if isinstance(other, Num):
+                bind_const(var, other)
+            else:
+                r, sides[1 if l_var else 0] = rep(other, target=var)
+                if r != var:
+                    tie(var, r)
+        elif l_num or r_num:
+            num = lhs if l_num else rhs
+            other = rhs if l_num else lhs
+            r, sides[1 if l_num else 0] = rep(other)
+            bind_const(r, num)
+        else:
+            rl, sides[0] = rep(lhs)
+            rr, sides[1] = rep(rhs, target=rl)
+            if rr != rl:
+                tie(rl, rr)
+        outputs.append(reg(("sub", *sides)))
+
+    return Csp(
+        constraints=tuple(constraints),
+        initial_box=Box(box),
+        source_equations=tuple(equations),
+        declarations=tuple(declarations),
+        aux_defs=tuple(aux_defs),
+        program=tuple(program),
+        outputs=tuple(outputs),
+    )

@@ -92,6 +92,29 @@ def test_missing_file(capsys):
     assert captured.err.startswith("error: cannot read /nonexistent/problem.txt")
 
 
+UNDECODABLE = b"var x in [0,1]; constraint x = 0.5; # caf\xe9"
+
+
+def test_undecodable_file_is_a_read_error(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(UNDECODABLE)
+    code = main([str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xe9")
+
+
+def test_undecodable_stdin_is_a_read_error(monkeypatch, capsys):
+    stdin = io.TextIOWrapper(io.BytesIO(UNDECODABLE), encoding="utf-8", errors="strict")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code = main(["-"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read -: 'utf-8' codec can't decode byte 0xe9")
+
+
 def test_budget_exhaustion_keeps_partial_results(problem_file, capsys):
     code = main([problem_file(QUARTIC_WIDE), "--max-boxes", "1"])
     out = capsys.readouterr().out
@@ -440,6 +463,15 @@ def test_flag_validation_exits_with_usage_error(problem_file):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def test_check_grid_under_propagate_only_is_a_usage_error(problem_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([problem_file(QUARTIC_UNIT), "--propagate-only", "--check-grid", "5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--propagate-only runs no search" in captured.err
 
 
 def test_importing_the_cli_loads_no_heavy_module():

@@ -33,8 +33,19 @@ from boxprune.decompose import (
 )
 from boxprune.oracle import constraint_residual, equation_residual, extend_assignment
 
-from helpers import QUARTIC_UNIT, QUARTIC_WIDE, X_STAR, Y_STAR, make_csp, tokenize_reference
-from boxprune import Box, Constraint, Csp
+from helpers import (
+    QUARTIC_UNIT,
+    QUARTIC_WIDE,
+    X_STAR,
+    Y_STAR,
+    box_bits,
+    broyden,
+    decompose_reference,
+    make_csp,
+    random_system_text,
+    tokenize_reference,
+)
+from boxprune import Constraint
 
 INF = math.inf
 
@@ -417,6 +428,56 @@ def test_undeclared_variables_rejected_by_decompose():
             decompose([("x", FULL)], [(lhs, Num.from_text("1"))])
 
 
+# The walk against its reference copy (helpers.decompose_reference): every
+# field the engines, the search and the Krawczyk step read is identical.
+
+_IDENTITY_CORPUS = (
+    [broyden(n) for n in range(2, 17)]
+    + [
+        broyden(2, repeated=True),
+        " ".join([f"var x{i} in [-10, 10];" for i in range(1, 22)] + [
+            f"constraint x{i}*x{i + 1} + x{i}^2 - 3*x{i + 1} = {i % 5};" for i in range(1, 21)
+        ]),
+        "var x in [-2, 2]; var y in [-2, 2]; constraint y = x^2; constraint x^2 + y^2 = 1;",
+        "var x; var y; constraint x*y = 1; constraint x = y;",
+        "var x in [-2, 2]; var y in [-2, 2]; constraint x = y;",
+        "var x; var y; constraint x = y;",
+        "var x; var y; constraint -x = y;",
+        "var x; var y; constraint y = -x;",
+        "var x; constraint 1 = 1.0;",
+        "var x; constraint 1 = 2; constraint 0.1 = 0.3;",
+        "var x in [0, 1]; constraint 0.1 = x;",
+        "var x; var y; var z; constraint z = x*y; constraint z = x*y + 1;",
+        "var x; var y; constraint x^7 = y^5 - x*y;",
+        "var x; var y; constraint 2 = x - y; constraint x*y = 0.1 + y; constraint y*x - 0.5 = -(x - y);",
+        "var a; var b; constraint a * b + 0.1 = a^2; constraint -(a - b) = 1;",
+        "var x; constraint x^4 + x^2 = 1; constraint x^2 = x^4;",
+    ]
+    + [random_system_text(random.Random(seed)) for seed in range(300)]
+)
+
+
+def _csp_fields(csp):
+    def bits(v):
+        return v.hex() if isinstance(v, float) else v
+
+    return (
+        [(c.kind, c.args, c.cid, bits(c.value)) for c in csp.constraints],
+        box_bits(csp.initial_box),
+        csp.aux_defs,
+        [tuple(map(bits, ins)) for ins in csp.program],
+        csp.outputs,
+        csp.bounded,
+        csp.watchers,
+    )
+
+
+def test_decompose_matches_its_reference_walk():
+    for text in _IDENTITY_CORPUS:
+        decls, equations = parse_problem(text)
+        assert _csp_fields(decompose(decls, equations)) == _csp_fields(decompose_reference(decls, equations)), text
+
+
 # The variable index (Csp.watchers) and the checks that build it.
 
 
@@ -456,19 +517,6 @@ def test_csp_rejects_ids_out_of_tuple_order():
     cons = [Constraint("const", ("x",), cid=1, value=1.0), Constraint("const", ("x",), cid=0, value=2.0)]
     with pytest.raises(ValueError, match="position 0 has id 1"):
         make_csp(cons, {"x": FULL})
-
-
-def test_csp_rejects_an_initial_box_over_other_variables():
-    with pytest.raises(ValueError, match="initial box does not bind exactly"):
-        Csp(
-            constraints=(),
-            variables=frozenset({"x", "y"}),
-            user_vars=("x",),
-            initial_box=Box({"x": FULL}),
-            source_equations=(),
-            declarations=(("x", FULL),),
-            aux_defs=(),
-        )
 
 
 def test_csp_rejects_a_constraint_over_an_undeclared_variable():

@@ -211,8 +211,6 @@ def test_extend_assignment_handles_all_operations():
 def test_extend_assignment_rejects_unknown_definitions():
     csp = Csp(
         constraints=(),
-        variables=frozenset({"x", "_t0"}),
-        user_vars=("x",),
         initial_box=Box({"x": FULL, "_t0": FULL}),
         source_equations=(),
         declarations=(("x", FULL),),
