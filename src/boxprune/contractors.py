@@ -132,40 +132,42 @@ class TraceRecord:
 
 
 def _sum(lo: list[float], hi: list[float], s: tuple[int, ...], _value) -> int:
-    """x + y = z over the slots s = (x, y, z)."""
+    """x + y = z over the slots s = (x, y, z).
+
+    One pass is the fixpoint: (a) narrows x to x' by z - y, (b) y to y' by
+    z - x' and (c) z to z' by x' + y'.  Another pass would raise x'.lo to
+    (z'.lo - y'.hi) rounded down, which is at most x'.lo: if (c) moved
+    z.lo, then z'.lo <= x'.lo + y'.lo <= x'.lo + y'.hi; if (b) moved y.hi,
+    then y'.hi >= z.hi - x'.lo >= z'.lo - x'.lo; and if neither moved, (a)
+    met that bound with the same operands.  Likewise it would raise y'.lo
+    to (z'.lo - x'.hi) rounded down, at most y'.lo by z'.lo <= x'.lo +
+    y'.lo or by (b).  The upper bounds mirror these, and then (c) sees the
+    same operands.  So a second pass changes nothing, bit for bit.
+    """
     i, j, k = s
     xl, xh, yl, yh, zl, zh = lo[i], hi[i], lo[j], hi[j], lo[k], hi[k]
-    while True:
-        a, b = sub_bounds(zl, zh, yl, yh)
-        if a > xl:
-            xl = a
-        if b < xh:
-            xh = b
-        if xl > xh:
-            return -1
-        stable = True
-        a, b = sub_bounds(zl, zh, xl, xh)
-        if a > yl:
-            yl = a
-            stable = False
-        if b < yh:
-            yh = b
-            stable = False
-        if yl > yh:
-            return -1
-        a, b = add_bounds(xl, xh, yl, yh)
-        if a > zl:
-            zl = a
-            stable = False
-        if b < zh:
-            zh = b
-            stable = False
-        if zl > zh:
-            return -1
-        # with y and z stable, x already lies inside z - y, so another pass
-        # would change nothing
-        if stable:
-            return _store3(lo, hi, i, j, k, xl, xh, yl, yh, zl, zh)
+    a, b = sub_bounds(zl, zh, yl, yh)
+    if a > xl:
+        xl = a
+    if b < xh:
+        xh = b
+    if xl > xh:
+        return -1
+    a, b = sub_bounds(zl, zh, xl, xh)
+    if a > yl:
+        yl = a
+    if b < yh:
+        yh = b
+    if yl > yh:
+        return -1
+    a, b = add_bounds(xl, xh, yl, yh)
+    if a > zl:
+        zl = a
+    if b < zh:
+        zh = b
+    if zl > zh:
+        return -1
+    return _store3(lo, hi, i, j, k, xl, xh, yl, yh, zl, zh)
 
 
 def _mul(lo: list[float], hi: list[float], s: tuple[int, ...], _value) -> int:

@@ -366,11 +366,24 @@ def div_down(n: float, d: float) -> float:
         return _MAX
     if r == -_INF:
         return -_INF
-    # r - n/d has the sign of (r*d - n) * d; a rounded r*d that differs
-    # from n already tells the sign (see _prod_sign)
+    # r - n/d has the sign of (r*d - n) * d.  A rounded r*d that differs
+    # from n already tells the sign of r*d - n (see _prod_sign); one equal
+    # to n leaves the rounding error's, which Dekker's two-product holds
+    # exactly inside _prod_sign's window
     p = r * d
-    s = (1 if p > n else -1) if p != n else _prod_sign(r, d, n)
-    return _next(r, -_INF) if (s > 0 if d > 0.0 else s < 0) else r
+    if p != n:
+        s = 1.0 if p > n else -1.0
+    elif 1e-100 < p * p and r * r + d * d < 1e300:
+        c = _SPLIT * r
+        hr = c - (c - r)
+        lr = r - hr
+        c = _SPLIT * d
+        hd = c - (c - d)
+        ld = d - hd
+        s = ((hr * hd - p) + hr * ld + lr * hd) + lr * ld
+    else:
+        s = _prod_sign(r, d, n)
+    return _next(r, -_INF) if (s > 0.0 if d > 0.0 else s < 0.0) else r
 
 
 def div_up(n: float, d: float) -> float:
@@ -383,9 +396,21 @@ def div_up(n: float, d: float) -> float:
         return -_MAX
     if r == _INF:
         return _INF
+    # as div_down
     p = r * d
-    s = (1 if p > n else -1) if p != n else _prod_sign(r, d, n)
-    return _next(r, _INF) if (s < 0 if d > 0.0 else s > 0) else r
+    if p != n:
+        s = 1.0 if p > n else -1.0
+    elif 1e-100 < p * p and r * r + d * d < 1e300:
+        c = _SPLIT * r
+        hr = c - (c - r)
+        lr = r - hr
+        c = _SPLIT * d
+        hd = c - (c - d)
+        ld = d - hd
+        s = ((hr * hd - p) + hr * ld + lr * hd) + lr * ld
+    else:
+        s = _prod_sign(r, d, n)
+    return _next(r, _INF) if (s < 0.0 if d > 0.0 else s > 0.0) else r
 
 
 def sqrt_down(x: float) -> float:

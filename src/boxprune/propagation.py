@@ -85,6 +85,25 @@ class PropagationOutcome:
 
 Engine = Callable[..., PropagationOutcome]
 
+# slot descriptors store a field without the frozen dataclass's __setattr__
+_new = object.__new__
+_set_fixpoint = PropagationOutcome.fixpoint.__set__
+_set_status = PropagationOutcome.status.__set__
+_set_steps = PropagationOutcome.steps.__set__
+_set_effective = PropagationOutcome.effective_steps.__set__
+_set_trace = PropagationOutcome.trace.__set__
+
+
+def _outcome(fixpoint: Box, status: Status, steps: int, effective: int, trace) -> PropagationOutcome:
+    """Fast constructor, as ``interval._raw`` is for Interval."""
+    out = _new(PropagationOutcome)
+    _set_fixpoint(out, fixpoint)
+    _set_status(out, status)
+    _set_steps(out, steps)
+    _set_effective(out, effective)
+    _set_trace(out, trace)
+    return out
+
 # A schedule yields the id of the next constraint to apply, is sent the
 # slots that application shrank (in the order of the compiled constraint's
 # arguments), and returns once every constraint is known to be at its
@@ -177,21 +196,22 @@ def _propagate(csp: Csp, box: Box, schedule: Schedule, record_trace: bool, max_s
         raise ValueError(f"box scope does not match the CSP's variables (missing {missing}, extra {extra})")
     trace: list[TraceRecord] = []
     steps = effective = 0
-    stalled = False
-    if not box.is_empty and csp.constraints:
+    status = Status.FEASIBLE_UNKNOWN
+    if box.is_empty:
+        status = Status.PROVED_EMPTY
+    elif csp.constraints:
         # copies, which the fixpoint adopts
         lo, hi = box._lo[:], box._hi[:]
         lifted = _traced(csp, trace) if record_trace else csp.lifted
         send = schedule.send
         shrunk: tuple[int, ...] | None = None
-        emptied = False
         while True:
             try:
                 cid = send(shrunk)
             except StopIteration:
                 break
             if steps >= max_steps:
-                stalled = True
+                status = Status.STALLED
                 break
             steps += 1
             kernel, args, value, shrinks = lifted[cid]
@@ -201,20 +221,14 @@ def _propagate(csp: Csp, box: Box, schedule: Schedule, record_trace: bool, max_s
                 continue
             effective += 1
             if m < 0:
-                emptied = True
+                status = Status.PROVED_EMPTY
                 break
             shrunk = shrinks[m]
-        if emptied:
+        if status is Status.PROVED_EMPTY:
             box = box._emptied()
         elif effective:
             box = Box._adopt(slot, lo, hi)
-    return PropagationOutcome(
-        fixpoint=box,
-        status=Status.PROVED_EMPTY if box.is_empty else Status.STALLED if stalled else Status.FEASIBLE_UNKNOWN,
-        steps=steps,
-        effective_steps=effective,
-        trace=tuple(trace) if record_trace else None,
-    )
+    return _outcome(box, status, steps, effective, tuple(trace) if record_trace else None)
 
 
 def propagate_roundrobin(

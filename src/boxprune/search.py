@@ -262,12 +262,17 @@ def solve(
     # a node's path is its depth and the integer whose low `depth` bits
     # spell the path; the string is built only for nodes the report keeps
     stack: list[tuple[int, int, Box, tuple[int, ...] | None]] = [(0, 0, csp.initial_box, None)]
+    stalled_status = Status.STALLED
     while stack:
         depth, bits, box, start = stack.pop()
-        if applications >= budget:
+        remaining = budget - applications
+        if remaining <= 0:
             raise BudgetExceeded(budget, report("contractor application"))
-        max_depth = max(max_depth, depth)
-        outcome = engine(csp, box, record_trace=record_trace, start=start, max_steps=min(run_budget, budget - applications))
+        if depth > max_depth:
+            max_depth = depth
+        outcome = engine(
+            csp, box, record_trace=record_trace, start=start, max_steps=run_budget if run_budget < remaining else remaining
+        )
         applications += outcome.steps
         if record_trace:
             path = _path(depth, bits)
@@ -277,7 +282,7 @@ def solve(
             else:
                 traces.append((path, outcome.trace))
         fixpoint = outcome.fixpoint
-        stalled = outcome.status is Status.STALLED
+        stalled = outcome.status is stalled_status
         if stalled:
             narrowed, tried, n = _newton(csp, fixpoint, by_name)
             newton_steps += tried
@@ -287,7 +292,9 @@ def solve(
                 stack.append((depth, bits, narrowed, None))
                 continue
             fixpoint = narrowed
-        if fixpoint.is_empty:
+        # Box.is_empty inline: an empty box's first bounds are inverted
+        lo = fixpoint._lo
+        if lo and lo[0] > fixpoint._hi[0]:
             pruned_count += 1
             if keep_pruned:
                 pruned.append((box, _path(depth, bits)))

@@ -585,7 +585,8 @@ def check_nodes_against_plain_fixpoints(csp: Csp, engine, nodes) -> int:
 # Reference kernels: interval multiplication and division as composed from
 # mul_down, mul_up and _prod_sign, one call per directed product, before
 # mul_bounds took Dekker's two-product inline and div_down/div_up read the
-# sign of r*d - n from the rounded product first.
+# sign of r*d - n from the rounded product first and then from the
+# two-product inline.
 
 
 def mul_bounds_reference(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
@@ -639,6 +640,51 @@ def div_up_reference(n: float, d: float) -> float:
         return math.inf
     s = _prod_sign(r, d, n)
     return math.nextafter(r, math.inf) if (s < 0 if d > 0.0 else s > 0) else r
+
+
+# Reference sum kernel: contractors._sum as it was when it repeated its pass
+# until y and z both held still, before the single pass was shown to be the
+# fixpoint.  Returns -1 or the change mask, and narrows lo and hi in place.
+
+
+def sum_reference(lo: list[float], hi: list[float], s: tuple[int, ...], _value=None) -> int:
+    i, j, k = s
+    xl, xh, yl, yh, zl, zh = lo[i], hi[i], lo[j], hi[j], lo[k], hi[k]
+    while True:
+        a, b = sub_bounds(zl, zh, yl, yh)
+        if a > xl:
+            xl = a
+        if b < xh:
+            xh = b
+        if xl > xh:
+            return -1
+        stable = True
+        a, b = sub_bounds(zl, zh, xl, xh)
+        if a > yl:
+            yl = a
+            stable = False
+        if b < yh:
+            yh = b
+            stable = False
+        if yl > yh:
+            return -1
+        a, b = add_bounds(xl, xh, yl, yh)
+        if a > zl:
+            zl = a
+            stable = False
+        if b < zh:
+            zh = b
+            stable = False
+        if zl > zh:
+            return -1
+        if stable:
+            break
+    m = 0
+    for bit, (p, a, b) in enumerate(((i, xl, xh), (j, yl, yh), (k, zl, zh))):
+        if a != lo[p] or b != hi[p]:
+            lo[p], hi[p] = a, b
+            m |= 1 << bit
+    return m
 
 
 # Reference tokenizer: decompose's character loop, one regex match or one

@@ -5,6 +5,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from boxprune import (
     EMPTY,
@@ -21,7 +23,8 @@ from boxprune import (
     contract_sum,
     extdiv,
 )
-from boxprune.interval import sqrt_up
+from boxprune.contractors import _sum
+from boxprune.interval import add_bounds, sqrt_up
 
 from helpers import (
     REPEATED_PATTERNS,
@@ -30,9 +33,11 @@ from helpers import (
     make_csp,
     quartic_csp_xyzu,
     right_half_box,
+    sum_reference,
 )
 
 INF = math.inf
+MAX = sys.float_info.max
 
 
 def iv(lo, hi):
@@ -111,6 +116,62 @@ def test_sum_optimal_on_integer_bounds():
             assert got[0] == iv(min(feas_a), max(feas_a))
             assert got[1] == iv(min(feas_b), max(feas_b))
             assert got[2] == iv(min(feas_c), max(feas_c))
+
+
+# The one-pass sum kernel against the kernel that repeated its pass until
+# y and z held still.  Bounds: any float (subnormals, the largest floats and
+# infinities among them), small integers, and signed zeros, in intervals
+# that may be points or [0, 0].  Half the time z is a few ulps around x + y,
+# which is where y and z both move and the old kernel ran a second pass.
+
+_SUM_BOUNDS = st.one_of(
+    st.floats(allow_nan=False),
+    st.integers(-8, 8).map(float),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, MAX, -MAX, INF, -INF]),
+)
+
+
+def _nudge(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, INF if ulps > 0 else -INF)
+    return x
+
+
+@st.composite
+def _sum_boxes(draw):
+    bounds = []
+    for _ in range(3):
+        a, b = draw(_SUM_BOUNDS), draw(_SUM_BOUNDS)
+        shape = draw(st.sampled_from(["any", "point", "zero"]))
+        if shape == "point":
+            b = a
+        elif shape == "zero":
+            a = b = 0.0
+        lo, hi = min(a, b) + 0.0, max(a, b) + 0.0
+        bounds.append((MAX if lo == INF else lo, -MAX if hi == -INF else hi))
+    if draw(st.booleans()):
+        lo, hi = add_bounds(*bounds[0], *bounds[1])
+        lo, hi = _nudge(lo, draw(st.integers(-3, 3))) + 0.0, _nudge(hi, draw(st.integers(-3, 3))) + 0.0
+        if lo <= hi and lo < INF and hi > -INF:
+            bounds[2] = (lo, hi)
+    return bounds
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(_sum_boxes())
+# y and then z move, so the old kernel passed twice
+@example([(0.0, 10.0), (5.0, 10.0), (0.0, 8.0)])
+# only z moves
+@example([(0.0, 1.0), (0.0, 1.0), (-INF, INF)])
+@example([(-INF, 0.0), (0.0, 0.0), (5e-324, INF)])
+@example([(MAX, INF), (MAX, MAX), (-INF, INF)])
+def test_sum_kernel_matches_the_two_pass_reference_bit_for_bit(bounds):
+    for s in ((0, 1, 2), (2, 0, 1)):
+        lo = [b[0] for b in bounds]
+        hi = [b[1] for b in bounds]
+        ref_lo, ref_hi = lo[:], hi[:]
+        assert _sum(lo, hi, s, None) == sum_reference(ref_lo, ref_hi, s)
+        assert [x.hex() for x in lo + hi] == [x.hex() for x in ref_lo + ref_hi]
 
 
 # contract_sq.

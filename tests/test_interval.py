@@ -524,8 +524,9 @@ def _hex(*xs):
 @given(_factor_pairs())
 def test_kernels_match_the_composed_reference_bit_for_bit(pair):
     # mul_bounds with the two-product inline, and div_down/div_up with
-    # the sign read first from r*d, against the composition of mul_down,
-    # mul_up and _prod_sign that they replace
+    # the sign read first from r*d and then from the two-product inline,
+    # against the composition of mul_down, mul_up and _prod_sign that they
+    # replace
     (al, ah), (bl, bh) = pair
     assert _hex(*mul_bounds(al, ah, bl, bh)) == _hex(*mul_bounds_reference(al, ah, bl, bh))
     assert _hex(*mul_bounds(bl, bh, al, ah)) == _hex(*mul_bounds_reference(bl, bh, al, ah))

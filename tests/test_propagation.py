@@ -2,7 +2,7 @@
 
 import hashlib
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -206,6 +206,30 @@ def test_budget_overrun_returns_the_stalled_iterate():
         traced = engine(csp, csp.initial_box, max_steps=3, record_trace=True)
         assert len(traced.trace) == 3
         assert replace(traced, trace=None) == out
+
+
+@pytest.mark.parametrize("name,engine", ENGINES)
+def test_outcomes_are_frozen_and_equal_to_publicly_built_ones(name, engine):
+    csp = quartic_csp_xyzu()
+    outcomes = [
+        engine(csp, csp.initial_box),
+        engine(csp, csp.initial_box, record_trace=True),
+        engine(csp, csp.initial_box, max_steps=3),
+        engine(csp, left_half_box()),
+        engine(csp, empty_box(csp.variables)),
+    ]
+    assert [o.status for o in outcomes] == [Status.FEASIBLE_UNKNOWN] * 2 + [
+        Status.STALLED,
+        Status.PROVED_EMPTY,
+        Status.PROVED_EMPTY,
+    ]
+    for out in outcomes:
+        with pytest.raises(FrozenInstanceError):
+            out.steps = 0
+        assert replace(out, steps=out.steps + 1).steps == out.steps + 1
+        public = PropagationOutcome(out.fixpoint, out.status, out.steps, out.effective_steps, out.trace)
+        assert out == public and hash(out) == hash(public)
+        assert repr(out) == repr(public)
 
 
 # The simultaneous one-round operator.

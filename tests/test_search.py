@@ -32,7 +32,7 @@ from boxprune import (
     solve,
     split,
 )
-from boxprune import search
+from boxprune import contractors, search
 from boxprune.decompose import Add, ExprAst, Neg, Num, Pow, Sub, Var
 from boxprune.interval import _midpoint
 from boxprune.search import is_splittable
@@ -353,6 +353,38 @@ def test_every_child_of_the_diagonal_search_costs_one_application():
     assert [o.steps for o in nodes[0][1]] == [2]
     assert {tuple(o.steps for o in outcomes) for _, outcomes in nodes[1:]} == {(1,)}
     assert report.stats.contractor_applications == 8229 == len(nodes) + 1
+
+
+def test_every_child_of_the_diagonal_search_makes_three_bound_calls(monkeypatch):
+    # x = y is _t0 = 0 and x + _t0 = y, and the sum kernel's one pass is two
+    # differences and a sum
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(contractors, "add_bounds", counted(contractors.add_bounds))
+    monkeypatch.setattr(contractors, "sub_bounds", counted(contractors.sub_bounds))
+    per_run = []
+
+    def engine(csp_, box, **kwargs):
+        before = calls[0]
+        outcome = propagate_worklist(csp_, box, **kwargs)
+        per_run.append(calls[0] - before)
+        return outcome
+
+    csp = compile_problem("var x in [-2, 2]; var y in [-2, 2]; constraint x = y;")
+    with pytest.raises(BudgetExceeded) as info:
+        solve(csp, engine=engine)
+    report = info.value.report
+    assert len(per_run) == 8228
+    assert set(per_run[1:]) == {3}
+    assert report.stats.contractor_applications == 8229
+    assert len(report.atomic_boxes) == 4096
 
 
 def reference_solve(csp, eps, max_boxes, engine):
