@@ -425,24 +425,17 @@ def extdiv_bounds(nl: float, nh: float, dl: float, dh: float) -> tuple[float, fl
         return (-_INF, _INF) if nl <= 0.0 <= nh else (_INF, -_INF)
     if dl < 0.0 < dh:
         return -_INF, _INF
+    if dh <= 0.0:
+        # n / d = -n / -d, and negation is exact
+        nl, nh, dl, dh = -nh, -nl, -dh, -dl
     if dl == 0.0:
         if nl <= 0.0 <= nh:
             return -_INF, _INF
         if nl > 0.0:
             return div_down(nl, dh) + 0.0, _INF
         return -_INF, div_up(nh, dh) + 0.0
-    if dh == 0.0:
-        if nl <= 0.0 <= nh:
-            return -_INF, _INF
-        if nl > 0.0:
-            return -_INF, div_up(nl, dl) + 0.0
-        return div_down(nh, dl) + 0.0, _INF
-    if dl > 0.0:
-        lo = div_down(nl, dh) if nl >= 0.0 else div_down(nl, dl)
-        hi = div_up(nh, dl) if nh >= 0.0 else div_up(nh, dh)
-    else:
-        lo = div_down(nh, dh) if nh > 0.0 else div_down(nh, dl)
-        hi = div_up(nl, dh) if nl < 0.0 else div_up(nl, dl)
+    lo = div_down(nl, dh) if nl >= 0.0 else div_down(nl, dl)
+    hi = div_up(nh, dl) if nh >= 0.0 else div_up(nh, dh)
     return lo + 0.0, hi + 0.0
 
 

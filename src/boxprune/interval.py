@@ -11,6 +11,12 @@ largest float, from integer-ratio comparisons.  Exactly representable results
 therefore keep their bit pattern, and since correct rounding is monotone,
 so is every operation.
 
+Rounding to nearest commutes with negation, so each directed rule is
+written once and its mirror is derived by exact negation: the upward
+helpers, extended division by a nonpositive divisor, and the midpoint of
+a lower-unbounded range.  The one exception is an exact zero sum, which
+IEEE makes +0.0 in both directions, so ``add_up`` takes its sign from x + y.
+
 Infinite bounds are open: ``contains([0, inf], inf)`` is false.  An interval
 whose lower bound would exceed its upper bound is the empty set, represented
 by the module constant ``EMPTY``.
@@ -74,11 +80,9 @@ class Interval:
 
     @property
     def width(self) -> float:
-        """hi - lo; +inf if either bound is infinite, 0 for the empty set."""
+        """hi - lo; +inf if a bound is infinite or hi - lo overflows, 0 for the empty set."""
         if self.is_empty:
             return 0.0
-        if math.isinf(self.lo) or math.isinf(self.hi):
-            return _INF
         return self.hi - self.lo
 
     def midpoint(self) -> float:
@@ -178,10 +182,7 @@ def _midpoint(lo: float, hi: float) -> float:
     if lo == -_INF and hi == _INF:
         return 0.0
     if lo == -_INF:
-        cand = -0.5 * _MAX
-        if cand >= hi:
-            cand = max(hi * 2.0, -_MAX)
-        return min(cand, hi)
+        return -_midpoint(-hi, _INF)
     if hi == _INF:
         cand = 0.5 * _MAX
         if cand <= lo:
@@ -246,14 +247,9 @@ def add_down(x: float, y: float) -> float:
 
 
 def add_up(x: float, y: float) -> float:
-    r = x + y
-    if -_INF < r < _INF:
-        return _next(r, _INF) if _sum_sign(x, y, r) > 0 else r
-    if x == _INF or y == _INF:
-        return _INF
-    if x == -_INF or y == -_INF:
-        return -_INF
-    return -_MAX if r == -_INF else _INF
+    # an exact zero sum is +0.0 in both directions, so a zero takes x + y's sign
+    r = -add_down(-x, -y)
+    return r if r != 0.0 else x + y
 
 
 def sub_down(x: float, y: float) -> float:
@@ -319,12 +315,7 @@ def mul_down(x: float, y: float) -> float:
 def mul_up(x: float, y: float) -> float:
     if x == 0.0 or y == 0.0:
         return 0.0
-    r = x * y
-    if -_INF < r < _INF:
-        return _next(r, _INF) if _prod_sign(x, y, r) > 0 else r
-    if x == _INF or x == -_INF or y == _INF or y == -_INF:
-        return r
-    return -_MAX if r == -_INF else _INF
+    return -mul_down(-x, y)
 
 
 def _sq_down(x: float) -> float:
@@ -389,28 +380,7 @@ def div_down(n: float, d: float) -> float:
 def div_up(n: float, d: float) -> float:
     if n == 0.0 or math.isinf(d):
         return 0.0
-    if math.isinf(n):
-        return -_INF if (n < 0.0) != (d < 0.0) else _INF
-    r = n / d
-    if r == -_INF:
-        return -_MAX
-    if r == _INF:
-        return _INF
-    # as div_down
-    p = r * d
-    if p != n:
-        s = 1.0 if p > n else -1.0
-    elif 1e-100 < p * p and r * r + d * d < 1e300:
-        c = _SPLIT * r
-        hr = c - (c - r)
-        lr = r - hr
-        c = _SPLIT * d
-        hd = c - (c - d)
-        ld = d - hd
-        s = ((hr * hd - p) + hr * ld + lr * hd) + lr * ld
-    else:
-        s = _prod_sign(r, d, n)
-    return _next(r, _INF) if (s < 0.0 if d > 0.0 else s > 0.0) else r
+    return -div_down(-n, d)
 
 
 def sqrt_down(x: float) -> float:

@@ -268,6 +268,8 @@ def test_extdiv_divisor_touching_zero_gives_rays():
     assert extdiv(iv(1, 2), iv(-2, 0)) == Interval(-INF, -0.5)
     assert extdiv(iv(-4, -2), iv(-2, 0)) == Interval(1.0, INF)
     assert extdiv(iv(-1, 1), iv(-2, 0)) == FULL
+    assert extdiv(iv(1, 1), iv(-3, 0)) == Interval(-INF, -0.3333333333333333)
+    assert extdiv(iv(-1, -1), iv(-3, 0)) == Interval(0.3333333333333333, INF)
 
 
 def test_extdiv_sign_definite_divisors():
@@ -277,6 +279,10 @@ def test_extdiv_sign_definite_divisors():
     assert extdiv(iv(2, 6), iv(-2, -1)) == iv(-6, -1)
     assert extdiv(iv(-6, -2), iv(-2, -1)) == iv(1, 6)
     assert extdiv(iv(-2, 6), iv(-2, -1)) == iv(-6, 2)
+    # inexact quotients: -1/3 rounds to nearest above itself, so only a
+    # lower bound at -1/3 steps out an ulp
+    assert extdiv(iv(1, 2), iv(-3, -1)) == iv(-2.0, -0.3333333333333333)
+    assert extdiv(iv(1, 1), iv(-3, -3)) == iv(-0.33333333333333337, -0.3333333333333333)
 
 
 def test_extdiv_encloses_sampled_quotients():

@@ -93,6 +93,8 @@ def test_width():
     assert EMPTY.width == 0.0
     assert FULL.width == INF
     assert Interval(1.0, INF).width == INF
+    assert Interval(-INF, 1.0).width == INF
+    assert Interval(-MAX, MAX).width == INF
 
 
 def test_midpoint_basics():
@@ -104,16 +106,19 @@ def test_midpoint_basics():
 
 
 def test_midpoint_half_infinite_is_finite_and_inside():
-    for iv in (
-        Interval(-INF, 0.0),
-        Interval(0.0, INF),
-        Interval(-INF, -0.75 * MAX),
-        Interval(0.75 * MAX, INF),
-        Interval(-INF, 5.0),
+    for iv, expected in (
+        (Interval(-INF, 0.0), -0.5 * MAX),
+        (Interval(0.0, INF), 0.5 * MAX),
+        (Interval(-INF, -0.75 * MAX), -MAX),
+        (Interval(0.75 * MAX, INF), MAX),
+        (Interval(-INF, 5.0), -0.5 * MAX),
     ):
         mid = iv.midpoint()
         assert math.isfinite(mid)
         assert iv.lo < mid < iv.hi
+        assert mid == expected
+        if iv.lo == -INF:
+            assert mid == -Interval(-iv.hi, INF).midpoint()
 
 
 def test_midpoint_huge_finite_does_not_overflow():
@@ -245,6 +250,23 @@ def test_infinity_conventions():
     assert div_down(INF, 2.0) == INF
     assert div_down(INF, -2.0) == -INF
     assert sqrt_down(INF) == INF
+
+
+def test_upward_helpers_keep_the_sign_of_zero_results():
+    # each upward helper is its downward partner under negation; a bare
+    # negation, or one ending in + 0.0, gets one of these zeros wrong.  An
+    # exact zero sum is +0.0 in both directions, and a zero factor or
+    # dividend or an infinite divisor gives +0.0 by convention
+    assert add_up(0.0, -0.0).hex() == "0x0.0p+0"
+    assert add_up(1.5, -1.5).hex() == "0x0.0p+0"
+    assert add_up(-0.0, -0.0).hex() == "-0x0.0p+0"
+    assert add_up(INF, -INF) == INF
+    assert mul_up(-0.0, 5.0).hex() == "0x0.0p+0"
+    assert mul_up(5e-324, -0.5).hex() == "-0x0.0p+0"
+    assert div_up(0.0, -3.0).hex() == "0x0.0p+0"
+    assert div_up(-3.0, -INF).hex() == "0x0.0p+0"
+    # a negative quotient that underflows rounds up to -0.0, not +0.0
+    assert div_up(5e-324, -1e150).hex() == "-0x0.0p+0"
 
 
 
