@@ -108,25 +108,14 @@ class Interval:
         return other.lo <= self.lo and self.hi <= other.hi
 
     def intersect(self, other: "Interval") -> "Interval":
-        # hot path: operands are canonical, so max/min of their bounds is
-        # too.  Returns self unchanged when the result equals self, which
-        # lets callers detect stability by identity, and otherwise reuses
-        # other when the result equals it.
-        slo = self.lo
-        shi = self.hi
-        olo = other.lo
-        ohi = other.hi
+        """Largest interval inside both operands."""
+        slo, shi, olo, ohi = self.lo, self.hi, other.lo, other.hi
         if slo > shi or olo > ohi:
             return EMPTY
+        # operands are canonical, so max/min of their bounds is too
         lo = slo if slo >= olo else olo
         hi = shi if shi <= ohi else ohi
-        if lo > hi:
-            return EMPTY
-        if lo == slo and hi == shi:
-            return self
-        if lo == olo and hi == ohi:
-            return other
-        return _raw(lo, hi)
+        return EMPTY if lo > hi else _raw(lo, hi)
 
     def hull(self, other: "Interval") -> "Interval":
         """Smallest interval containing both operands."""
@@ -136,8 +125,6 @@ class Interval:
             return self
         lo = self.lo if self.lo <= other.lo else other.lo
         hi = self.hi if self.hi >= other.hi else other.hi
-        if lo == self.lo and hi == self.hi:
-            return self
         return _raw(lo, hi)
 
     def __str__(self) -> str:

@@ -16,7 +16,9 @@ products with Y that make up K run in plain floats too, and each row of K
 adds an a-priori bound on their rounding error before it rounds outward
 (_rows).  K(X) meet X therefore keeps every root in X, and when they do
 not meet, X holds no root.  Near a regular root K narrows X
-quadratically, where propagation alone converges only linearly.
+quadratically, where propagation alone converges only linearly.  The
+operator (_operator) forms K's rows, or None where K cannot be formed,
+and ``krawczyk`` meets them with X.
 
 decompose records the equations as one straight-line program
 (``Csp.program``) while it flattens them.  Running it computes, for every
@@ -135,9 +137,7 @@ def _inverse(a: list[list[float]]) -> list[list[float]] | None:
             if r != col and f != 0.0:
                 row[col:] = [v - f * w for v, w in zip(row[col:], top)]
     inverse = [row[n:] for row in rows]
-    if not all(math.isfinite(v) for row in inverse for v in row):
-        return None
-    return inverse
+    return inverse if all(math.isfinite(v) for row in inverse for v in row) else None
 
 
 def _radius(lo: float, hi: float, m: float) -> float:
@@ -242,45 +242,45 @@ def _is_square(csp: Csp) -> bool:
     return len(csp.outputs) == len(csp.user_vars) > 0
 
 
+def _operator(csp: Csp, lo: list[float], hi: list[float]) -> Iterator[tuple[float, float]] | None:
+    """The rows of K(X) (_rows) for the user bounds lo, hi of a nonempty box
+    X, or None when K cannot be formed: the system is not square, a bound is
+    infinite, or the midpoint of J(X) has no float inverse Y."""
+    if not _is_square(csp) or not all(math.isfinite(v) for v in lo + hi):
+        return None
+    # a float inside each interval
+    c = [_midpoint(l, h) for l, h in zip(lo, hi)]
+    points, derivs = _run(csp, c, lo, hi)
+    f, jac = _split([points[r] for r in csp.outputs], [derivs[r] for r in csp.outputs])
+    # Y inverts the midpoint of J(X), whose absent entries are zero
+    mid = [{j: m for j, m, _ in row} for row in jac]
+    y = _inverse([[mi.get(j, 0.0) for j in range(len(c))] for mi in mid])
+    return None if y is None else _rows(y, f, jac, c, lo, hi)
+
+
 def krawczyk(csp: Csp, box: Box) -> Box:
     """K(X) meet X on the user variables of ``box``; other variables keep
     their intervals.
 
     Returns the empty box when the meet is empty: ``box`` holds no root.
-    Returns ``box`` itself when nothing narrows, which includes a system
-    that is not square, a box with an infinite or empty user bound, and a
-    midpoint Jacobian with no float inverse.
+    Returns ``box`` itself when nothing narrows, which includes an empty
+    box and every box over which _operator cannot form K.
     """
-    if not _is_square(csp) or box.is_empty:
+    if box.is_empty:
         return box
-    n = len(csp.user_vars)
     slots = [box._slot[v] for v in csp.user_vars]
     lo = [box._lo[s] for s in slots]
     hi = [box._hi[s] for s in slots]
-    if not all(math.isfinite(v) for v in lo + hi):
-        return box
-    # a float inside each interval
-    c = [_midpoint(l, h) for l, h in zip(lo, hi)]
-    points, derivs = _run(csp, c, lo, hi)
-    f, jac = _split([points[r] for r in csp.outputs], [derivs[r] for r in csp.outputs])
-    # Y inverts the midpoint of J(X)
-    mid = [[0.0] * n for _ in jac]
-    for mi, row in zip(mid, jac):
-        for j, m, _ in row:
-            mi[j] = m
-    y = _inverse(mid)
-    if y is None:
+    rows = _operator(csp, lo, hi)
+    if rows is None:
         return box
     narrowed_lo, narrowed_hi = box._lo[:], box._hi[:]
-    changed = False
-    for i, (k_lo, k_hi) in enumerate(_rows(y, f, jac, c, lo, hi)):
+    for i, (k_lo, k_hi) in enumerate(rows):
         # meet with X_i
         new_lo = k_lo if k_lo > lo[i] else lo[i]
         new_hi = k_hi if k_hi < hi[i] else hi[i]
         if new_lo > new_hi:
             return box._emptied()
-        if new_lo != lo[i] or new_hi != hi[i]:
-            narrowed_lo[slots[i]] = new_lo
-            narrowed_hi[slots[i]] = new_hi
-            changed = True
+        narrowed_lo[slots[i]], narrowed_hi[slots[i]] = new_lo, new_hi
+    changed = narrowed_lo != box._lo or narrowed_hi != box._hi
     return Box._adopt(box._slot, narrowed_lo, narrowed_hi) if changed else box

@@ -23,7 +23,8 @@ node that does not stall (below), never its fixpoint.
 
 Each run of the engine gets four applications per constraint.
 Propagation converges only linearly near many roots, so a run may stall;
-its iterate is still a sound box.  It goes to the Krawczyk operator
+its iterate is still a sound box.  If the system is square (as many
+equations as user variables), the iterate goes to the Krawczyk operator
 (boxprune.newton), which converges quadratically near a regular root, and
 whose steps repeat for as long as each halves the widest user variable.
 An empty result prunes the node.  A narrowed box is propagated again as
@@ -53,7 +54,7 @@ from .boxes import Box
 from .contractors import TraceRecord
 from .decompose import Csp
 from .interval import Interval, _midpoint
-from .newton import krawczyk
+from .newton import _is_square, krawczyk
 from .propagation import Engine, Status, propagate_worklist
 
 __all__ = [
@@ -81,7 +82,8 @@ class SolveStatus(Enum):
 @dataclass(frozen=True, slots=True)
 class SolveStats:
     """``krawczyk_steps`` counts Krawczyk steps taken on stalled nodes, and
-    ``krawczyk_narrowed`` the steps that narrowed the box or emptied it."""
+    ``krawczyk_narrowed`` the steps that narrowed the box or emptied it;
+    the search takes none on a system that is not square."""
 
     contractor_applications: int
     max_depth: int
@@ -238,11 +240,10 @@ def solve(
     traces: list[tuple[str, tuple[TraceRecord, ...]]] = []
 
     def report(exhausted: str | None = None) -> SolveReport:
-        status = SolveStatus.INFEASIBLE if not atomic else SolveStatus.ENCLOSURES
         return SolveReport(
             atomic_boxes=tuple(atomic),
             pruned_count=pruned_count,
-            status=status,
+            status=SolveStatus.INFEASIBLE if not atomic else SolveStatus.ENCLOSURES,
             stats=SolveStats(
                 contractor_applications=applications,
                 max_depth=max_depth,
@@ -263,6 +264,7 @@ def solve(
     # spell the path; the string is built only for nodes the report keeps
     stack: list[tuple[int, int, Box, tuple[int, ...] | None]] = [(0, 0, csp.initial_box, None)]
     stalled_status = Status.STALLED
+    square = _is_square(csp)
     while stack:
         depth, bits, box, start = stack.pop()
         remaining = budget - applications
@@ -283,7 +285,7 @@ def solve(
                 traces.append((path, outcome.trace))
         fixpoint = outcome.fixpoint
         stalled = outcome.status is stalled_status
-        if stalled:
+        if stalled and square:
             narrowed, tried, n = _newton(csp, fixpoint, by_name)
             newton_steps += tried
             newton_narrowed += n
@@ -321,15 +323,13 @@ def _widest(box: Box, names: tuple[str, ...]) -> float:
 def _newton(csp: Csp, box: Box, names: tuple[str, ...]) -> tuple[Box, int, int]:
     """Krawczyk steps from ``box`` for as long as each halves the widest of
     ``names``; returns the last box, the steps and the steps that narrowed."""
-    steps = narrowing = 0
+    steps = 0
     while True:
         step = krawczyk(csp, box)
         steps += 1
-        if step is box:
-            return box, steps, narrowing
-        narrowing += 1
-        if step.is_empty or not _widest(step, names) <= 0.5 * _widest(box, names):
-            return step, steps, narrowing
+        if step is box or step.is_empty or not _widest(step, names) <= 0.5 * _widest(box, names):
+            # every step narrowed but a last one that returned the box
+            return step, steps, steps - (step is box)
         box = step
 
 

@@ -258,6 +258,14 @@ def test_json_stats_count_krawczyk_steps(problem_file, capsys):
     assert stats["krawczyk_steps"] >= stats["krawczyk_narrowed"] >= 1
 
 
+def test_json_stats_count_no_krawczyk_step_on_a_system_that_is_not_square(problem_file, capsys):
+    # random_mix seed 1, draw 53: one equation in two variables
+    path = problem_file("var a in [-1.0, 1.0]; var b in [-2.0, 4.0]; constraint a^2 + -a = 1;")
+    assert main([path, "--eps", "1e-6", "--max-boxes", "256", "--format", "json"]) == 3
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert stats["krawczyk_steps"] == stats["krawczyk_narrowed"] == 0
+
+
 def test_order_flag_changes_work_but_not_answers(problem_file, capsys):
     # the orders may end an ulp apart after Krawczyk steps, but they take
     # the same paths, prune as many boxes, enclose both roots, and stay

@@ -14,6 +14,7 @@ from boxprune.interval import (
     _sq_down,
     _sq_up,
     add,
+    add_bounds,
     add_down,
     add_up,
     div_down,
@@ -27,6 +28,7 @@ from boxprune.interval import (
     sqrt_up,
     square,
     sub,
+    sub_bounds,
     sub_down,
     sub_up,
 )
@@ -231,6 +233,18 @@ def test_overflow_saturates():
     assert add_down(-MAX, -MAX) == -INF
     assert mul_down(MAX, 2.0) == MAX
     assert mul_up(-MAX, 2.0) == -MAX
+
+
+def test_twosum_falls_back_to_the_helpers_when_its_error_term_is_nan():
+    # x - MAX is finite, but TwoSum's error term overflows on the way to a
+    # NaN, so each bound of add_bounds and sub_bounds goes the long way.  The
+    # nearest sum rounds away from zero there, so it is one of the two
+    # bounds: both signs are needed to tell every fallback from none
+    for x, m in ((4.580425364127553e306, MAX), (-4.580425364127553e306, -MAX)):
+        lo, hi = add_down(x, -m), add_up(x, -m)
+        assert lo < hi
+        assert add_bounds(x, x, -m, -m) == (lo, hi)
+        assert sub_bounds(x, x, m, m) == (sub_down(x, m), sub_up(x, m)) == (lo, hi)
 
 
 def test_infinity_conventions():

@@ -23,7 +23,7 @@ from boxprune import (
 )
 from boxprune import search
 from boxprune.decompose import Add, Neg, Num, Pow, Sub, Var
-from boxprune.newton import _inverse, _rows, _run, _split
+from boxprune.newton import _inverse, _operator, _rows, _run, _split
 
 from helpers import (
     QUARTIC_UNIT,
@@ -237,6 +237,8 @@ def test_krawczyk_leaves_non_square_and_unbounded_systems_alone(text):
 
 
 DOUBLE_ROOT = "var x in [0, 3]; constraint x^2 - 2*x + 1 = 0;"
+# random_mix seed 1, draw 53: one equation in two variables
+DRAW_53 = "var a in [-1.0, 1.0]; var b in [-2.0, 4.0]; constraint a^2 + -a = 1;"
 
 
 def test_krawczyk_leaves_a_singular_midpoint_jacobian_alone():
@@ -244,6 +246,15 @@ def test_krawczyk_leaves_a_singular_midpoint_jacobian_alone():
     # [0, 2] has the midpoint 0
     csp = compile_problem("var x in [0, 2]; constraint x^2 - 2*x + 1 = 0;")
     assert krawczyk(csp, csp.initial_box) is csp.initial_box
+
+
+def test_a_midpoint_jacobian_whose_inverse_overflows_has_no_float_y():
+    # 1 / 1e-310 overflows: the pivot is finite and nonzero, the inverse not
+    assert _inverse([[1e-310]]) is None
+    csp = compile_problem("var x in [-1, 1]; constraint 1e-310 * x = 0;")
+    box = csp.initial_box
+    assert _operator(csp, [-1.0], [1.0]) is None
+    assert krawczyk(csp, box) is box
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -382,7 +393,15 @@ def test_the_sweep_matches_one_that_bounds_every_register():
     # as a sweep that forms all of them; boxes with zero and integer bounds
     # give the signed zeros a chance to show
     rng = random.Random(5)
-    texts = [broyden(4), broyden(2, repeated=True), QUARTIC_WIDE] + [random_system_text(rng) for _ in range(150)]
+    texts = [
+        broyden(4),
+        broyden(2, repeated=True),
+        QUARTIC_WIDE,
+        # a sum and a difference under a product and a square: their
+        # bounds over the box feed a derivative
+        "var x in [-2, 2]; var y in [-1, 3]; constraint (x + y) * x = 1; constraint (x - y)^2 = 2;",
+        "var x in [-2, 2]; var y in [-1, 3]; constraint (x + y)^2 = 1; constraint x * (y - x) = 2;",
+    ] + [random_system_text(rng) for _ in range(150)]
     for text in texts:
         csp = compile_problem(text)
         for _ in range(4):
@@ -471,6 +490,27 @@ def test_a_node_that_does_not_stall_never_meets_krawczyk():
         report, nodes = solve_by_node(compile_problem(text), propagate_worklist, max_boxes=64)
         assert report.stats.krawczyk_steps == 0
         assert all(len(outcomes) == 1 for _, outcomes in nodes)
+
+
+def test_the_search_tries_no_krawczyk_step_on_a_system_that_is_not_square(monkeypatch):
+    # one equation in two variables: propagation stalls near a's roots, but
+    # K cannot be formed, so no step is tried or counted
+    def no_step(csp_, box):
+        raise AssertionError("krawczyk called on a system that is not square")
+
+    monkeypatch.setattr(search, "krawczyk", no_step)
+    stalls = []
+
+    def engine(csp_, box, **kwargs):
+        out = propagate_worklist(csp_, box, **kwargs)
+        stalls.append(out.status is Status.STALLED)
+        return out
+
+    with pytest.raises(search.BudgetExceeded) as exc:
+        solve(compile_problem(DRAW_53), eps=1e-6, max_boxes=256, engine=engine)
+    stats = exc.value.report.stats
+    assert any(stalls)
+    assert (stats.krawczyk_steps, stats.krawczyk_narrowed) == (0, 0)
 
 
 def test_a_stalled_node_krawczyk_cannot_narrow_is_split():
