@@ -245,9 +245,8 @@ def _sq(lo: list[float], hi: list[float], s: tuple[int, ...], _value) -> int:
             return -1
         if settled and stable:
             break
+        # 0 <= yl <= yh here, so rl <= rh
         rl, rh = sqrt_bounds(yl, yh)
-        if rl > rh:
-            return -1
         # x meets the positive root branch, the negative one, or both; the
         # hull drops a branch that x misses
         pl = xl if xl >= rl else rl
@@ -262,10 +261,8 @@ def _sq(lo: list[float], hi: list[float], s: tuple[int, ...], _value) -> int:
             if xh < rl or pl > ph:
                 pl, ph = nl, nh
             elif nl <= nh:
-                if nl < pl:
-                    pl = nl
-                if nh > ph:
-                    ph = nh
+                # nl <= nh <= 0 <= rl <= pl <= ph
+                pl = nl
         if pl > ph:
             return -1
         if pl == xl and ph == xh:

@@ -175,14 +175,10 @@ def _midpoint(lo: float, hi: float) -> float:
         if cand <= lo:
             cand = min(lo * 2.0, _MAX)
         return max(cand, lo)
+    # fl(lo + hi) lies in [2 lo, 2 hi], so its half lies in [lo, hi]; a sum
+    # that overflows has both halves exact
     mid = 0.5 * (lo + hi)
-    if math.isinf(mid):
-        mid = 0.5 * lo + 0.5 * hi
-    if mid < lo:
-        mid = lo
-    elif mid > hi:
-        mid = hi
-    return mid
+    return 0.5 * lo + 0.5 * hi if math.isinf(mid) else mid
 
 
 EMPTY = _raw(_INF, -_INF)

@@ -17,8 +17,9 @@ adds an a-priori bound on their rounding error before it rounds outward
 (_rows).  K(X) meet X therefore keeps every root in X, and when they do
 not meet, X holds no root.  Near a regular root K narrows X
 quadratically, where propagation alone converges only linearly.  The
-operator (_operator) forms K's rows, or None where K cannot be formed,
-and ``krawczyk`` meets them with X.
+operator (_operator) forms K's rows, or None where K cannot be formed.
+The search hands a stalled box to _stage, which meets them with X step
+after step; ``krawczyk`` is its first step.
 
 decompose records the equations as one straight-line program
 (``Csp.program``) while it flattens them.  Running it computes, for every
@@ -236,17 +237,12 @@ def _rows(
         yield sub_down(a, s), add_up(b, s)
 
 
-def _is_square(csp: Csp) -> bool:
-    """Whether the system's program has as many equations as user
-    variables, at least one; only then can a Krawczyk step narrow a box."""
-    return len(csp.outputs) == len(csp.user_vars) > 0
-
-
 def _operator(csp: Csp, lo: list[float], hi: list[float]) -> Iterator[tuple[float, float]] | None:
     """The rows of K(X) (_rows) for the user bounds lo, hi of a nonempty box
-    X, or None when K cannot be formed: the system is not square, a bound is
-    infinite, or the midpoint of J(X) has no float inverse Y."""
-    if not _is_square(csp) or not all(math.isfinite(v) for v in lo + hi):
+    X, or None when K cannot be formed: the system is not square (as many
+    equations as user variables, at least one), a bound is infinite, or the
+    midpoint of J(X) has no float inverse Y."""
+    if not len(csp.outputs) == len(lo) > 0 or not all(math.isfinite(v) for v in lo + hi):
         return None
     # a float inside each interval
     c = [_midpoint(l, h) for l, h in zip(lo, hi)]
@@ -258,29 +254,41 @@ def _operator(csp: Csp, lo: list[float], hi: list[float]) -> Iterator[tuple[floa
     return None if y is None else _rows(y, f, jac, c, lo, hi)
 
 
+def _stage(csp: Csp, box: Box) -> Iterator[Box]:
+    """Krawczyk steps from a stalled, nonempty box: K(X) meet X on the user
+    variables, then the same from each result, for as long as each narrows
+    the box and halves its widest user variable.  Yields the empty box when
+    a meet is empty, ``box`` itself when nothing narrows, and nothing once
+    _operator cannot form K."""
+    slots = [box._slot[v] for v in csp.user_vars]
+    lo, hi = [box._lo[s] for s in slots], [box._hi[s] for s in slots]
+    while (rows := _operator(csp, lo, hi)) is not None:
+        narrowed_lo, narrowed_hi = box._lo[:], box._hi[:]
+        for i, (k_lo, k_hi) in enumerate(rows):
+            # meet with X_i
+            new_lo = k_lo if k_lo > lo[i] else lo[i]
+            new_hi = k_hi if k_hi < hi[i] else hi[i]
+            if new_lo > new_hi:
+                yield box._emptied()
+                return
+            narrowed_lo[slots[i]], narrowed_hi[slots[i]] = new_lo, new_hi
+        if narrowed_lo == box._lo and narrowed_hi == box._hi:
+            yield box
+            return
+        box = Box._adopt(box._slot, narrowed_lo, narrowed_hi)
+        yield box
+        widest = max(h - l for l, h in zip(lo, hi))
+        lo, hi = [narrowed_lo[s] for s in slots], [narrowed_hi[s] for s in slots]
+        if not max(h - l for l, h in zip(lo, hi)) <= 0.5 * widest:
+            return
+
+
 def krawczyk(csp: Csp, box: Box) -> Box:
-    """K(X) meet X on the user variables of ``box``; other variables keep
-    their intervals.
+    """K(X) meet X on the user variables of ``box``, _stage's first step;
+    other variables keep their intervals.
 
     Returns the empty box when the meet is empty: ``box`` holds no root.
     Returns ``box`` itself when nothing narrows, which includes an empty
     box and every box over which _operator cannot form K.
     """
-    if box.is_empty:
-        return box
-    slots = [box._slot[v] for v in csp.user_vars]
-    lo = [box._lo[s] for s in slots]
-    hi = [box._hi[s] for s in slots]
-    rows = _operator(csp, lo, hi)
-    if rows is None:
-        return box
-    narrowed_lo, narrowed_hi = box._lo[:], box._hi[:]
-    for i, (k_lo, k_hi) in enumerate(rows):
-        # meet with X_i
-        new_lo = k_lo if k_lo > lo[i] else lo[i]
-        new_hi = k_hi if k_hi < hi[i] else hi[i]
-        if new_lo > new_hi:
-            return box._emptied()
-        narrowed_lo[slots[i]], narrowed_hi[slots[i]] = new_lo, new_hi
-    changed = narrowed_lo != box._lo or narrowed_hi != box._hi
-    return Box._adopt(box._slot, narrowed_lo, narrowed_hi) if changed else box
+    return box if box.is_empty else next(_stage(csp, box), box)

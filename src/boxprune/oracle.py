@@ -97,13 +97,15 @@ def grid_solutions(
     grids = np.meshgrid(*axes, indexing="ij")
     env = dict(zip(names, grids))
     mask = np.ones(grids[0].shape, dtype=bool)
-    for lhs, rhs in equations:
-        lv = eval_expr(lhs, env)
-        rv = eval_expr(rhs, env)
-        mask &= np.abs(lv - rv) <= spec.tol * (1.0 + np.abs(rv))
-        # an overflowing rhs makes that tolerance infinite, so it passes any
-        # lhs; a finite lhs - rhs needs a finite rhs
-        mask &= np.isfinite(rv)
+    # a point that overflows is no hit (below), so its warnings say nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lhs, rhs in equations:
+            lv = eval_expr(lhs, env)
+            rv = eval_expr(rhs, env)
+            mask &= np.abs(lv - rv) <= spec.tol * (1.0 + np.abs(rv))
+            # an overflowing rhs makes that tolerance infinite, so it passes
+            # any lhs; a finite lhs - rhs needs a finite rhs
+            mask &= np.isfinite(rv)
     hits = np.argwhere(mask)
     return [
         {name: float(axes[k][idx[k]]) for k, name in enumerate(names)}

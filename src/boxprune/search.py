@@ -23,10 +23,10 @@ node that does not stall (below), never its fixpoint.
 
 Each run of the engine gets four applications per constraint.
 Propagation converges only linearly near many roots, so a run may stall;
-its iterate is still a sound box.  If the system is square (as many
-equations as user variables), the iterate goes to the Krawczyk operator
-(boxprune.newton), which converges quadratically near a regular root, and
-whose steps repeat for as long as each halves the widest user variable.
+its iterate is still a sound box.  It then goes to the Krawczyk stage
+(boxprune.newton), which converges quadratically near a regular root; its
+steps repeat for as long as each halves the widest user variable, and it
+takes none where K cannot be formed, as on a system that is not square.
 An empty result prunes the node.  A narrowed box is propagated again as
 the same node, from all constraints, since a stalled iterate is a fixpoint
 of none of them.  A box Krawczyk cannot narrow is undecided like any
@@ -54,7 +54,7 @@ from .boxes import Box
 from .contractors import TraceRecord
 from .decompose import Csp
 from .interval import Interval, _midpoint
-from .newton import _is_square, krawczyk
+from .newton import _stage
 from .propagation import Engine, Status, propagate_worklist
 
 __all__ = [
@@ -81,9 +81,9 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True, slots=True)
 class SolveStats:
-    """``krawczyk_steps`` counts Krawczyk steps taken on stalled nodes, and
-    ``krawczyk_narrowed`` the steps that narrowed the box or emptied it;
-    the search takes none on a system that is not square."""
+    """``krawczyk_steps`` counts the Krawczyk steps on stalled nodes that
+    formed K, and ``krawczyk_narrowed`` those that narrowed the box or
+    emptied it; neither counts where K cannot be formed (boxprune.newton)."""
 
     contractor_applications: int
     max_depth: int
@@ -217,9 +217,9 @@ def solve(
 
     ``engine`` is called as ``engine(csp, box, record_trace=...,
     start=..., max_steps=...)``, once per node and again after each
-    Krawczyk step that narrowed the node's box.  ``start`` is the split
+    Krawczyk stage that narrowed the node's box.  ``start`` is the split
     variable's watchers for a child of a node that reached its fixpoint,
-    and None at the root, after a Krawczyk step and for a child of a node
+    and None at the root, after a Krawczyk stage and for a child of a node
     that stalled (see the propagation engines).  A node's trace
     concatenates the traces of its runs.  Raises BudgetExceeded, carrying
     the partial report, rather than emitting an atomic box beyond
@@ -264,7 +264,6 @@ def solve(
     # spell the path; the string is built only for nodes the report keeps
     stack: list[tuple[int, int, Box, tuple[int, ...] | None]] = [(0, 0, csp.initial_box, None)]
     stalled_status = Status.STALLED
-    square = _is_square(csp)
     while stack:
         depth, bits, box, start = stack.pop()
         remaining = budget - applications
@@ -285,10 +284,13 @@ def solve(
                 traces.append((path, outcome.trace))
         fixpoint = outcome.fixpoint
         stalled = outcome.status is stalled_status
-        if stalled and square:
-            narrowed, tried, n = _newton(csp, fixpoint, by_name)
-            newton_steps += tried
-            newton_narrowed += n
+        if stalled:
+            narrowed = fixpoint
+            for step in _stage(csp, fixpoint):
+                newton_steps += 1
+                # a last step that returns its box narrows nothing
+                newton_narrowed += step is not narrowed
+                narrowed = step
             if narrowed is not fixpoint and not narrowed.is_empty:
                 # the same node again, from all constraints
                 stack.append((depth, bits, narrowed, None))
@@ -313,24 +315,6 @@ def solve(
         stack.append((depth + 1, bits << 1 | 1, right, start))
         stack.append((depth + 1, bits << 1, left, start))
     return report()
-
-
-def _widest(box: Box, names: tuple[str, ...]) -> float:
-    slot, lo, hi = box._slot, box._lo, box._hi
-    return max(hi[slot[name]] - lo[slot[name]] for name in names)
-
-
-def _newton(csp: Csp, box: Box, names: tuple[str, ...]) -> tuple[Box, int, int]:
-    """Krawczyk steps from ``box`` for as long as each halves the widest of
-    ``names``; returns the last box, the steps and the steps that narrowed."""
-    steps = 0
-    while True:
-        step = krawczyk(csp, box)
-        steps += 1
-        if step is box or step.is_empty or not _widest(step, names) <= 0.5 * _widest(box, names):
-            # every step narrowed but a last one that returned the box
-            return step, steps, steps - (step is box)
-        box = step
 
 
 def _path(depth: int, bits: int) -> str:

@@ -31,7 +31,7 @@ from boxprune import (
     empty_box,
     solve,
 )
-from boxprune import search
+from boxprune import newton, search
 from boxprune.decompose import Add, ExprAst, Mul, Neg, Num, ParseError, Pow, Sub, Var
 from boxprune.interval import _prod_sign, add_bounds, mul_bounds, mul_down, mul_up, square_bounds, sub_bounds
 
@@ -547,7 +547,7 @@ def solve_by_node(csp: Csp, engine, **solve_kwargs):
         nodes[-1][1].append(outcome)
         restart_box = None
         if outcome.status is Status.STALLED:
-            narrowed = search._newton(csp, outcome.fixpoint, names)[0]
+            narrowed = [outcome.fixpoint, *newton._stage(csp, outcome.fixpoint)][-1]
             var = search.pick_split_var(narrowed, names, eps)
             if narrowed is not outcome.fixpoint:
                 restart_box = narrowed
@@ -564,7 +564,6 @@ def check_nodes_against_plain_fixpoints(csp: Csp, engine, nodes) -> int:
     undecided, split or emitted as the stalled iterate, which is no
     fixpoint and is not compared; the halves of a split are nodes of their
     own.  Returns the number of nodes that stalled."""
-    names = tuple(sorted(csp.user_vars))
     stalled = 0
     for box, outcomes in nodes:
         plain = engine(csp, box).fixpoint
@@ -575,7 +574,7 @@ def check_nodes_against_plain_fixpoints(csp: Csp, engine, nodes) -> int:
         stalled += 1
         final = last.fixpoint
         if last.status is Status.STALLED:
-            final = search._newton(csp, final, names)[0]
+            final = [final, *newton._stage(csp, final)][-1]
             if not final.is_empty:
                 continue
         assert plain.encloses(final), (box, final, plain)

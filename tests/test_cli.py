@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -249,6 +250,39 @@ def test_propagate_only_prints_a_stalled_iterate(problem_file, capsys, monkeypat
     assert set(obj["fixpoint"]) == {"x1", "x2"}
 
 
+def test_propagate_only_trace(problem_file, capsys):
+    path = problem_file(QUARTIC_WIDE)
+    assert main([path, "--propagate-only", "--trace"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "c0 sq {x=[-2.0,2.0], y=[-2.0,2.0]} -> {x=[-1.4142135623730951,1.4142135623730951], y=[0.0,2.0]} changed",
+        "c1 sq {_t0=[-inf,inf], y=[0.0,2.0]} -> {_t0=[0.0,4.0], y=[0.0,2.0]} changed",
+        "c2 sum {_t0=[0.0,4.0], _t1=[-inf,inf], y=[0.0,2.0]} -> {_t0=[0.0,4.0], _t1=[0.0,6.0], y=[0.0,2.0]} changed",
+        "c3 const {_t1=[0.0,6.0]} -> {_t1=[1.0,1.0]} changed",
+        "c2 sum {_t0=[0.0,4.0], _t1=[1.0,1.0], y=[0.0,2.0]} -> {_t0=[0.0,1.0], _t1=[1.0,1.0], y=[0.0,1.0]} changed",
+        "c0 sq {x=[-1.4142135623730951,1.4142135623730951], y=[0.0,1.0]} -> {x=[-1.0,1.0], y=[0.0,1.0]} changed",
+        "c1 sq {_t0=[0.0,1.0], y=[0.0,1.0]} -> {_t0=[0.0,1.0], y=[0.0,1.0]} nochange",
+        "fixpoint: {x=[-1.0,1.0], y=[0.0,1.0]}",
+        "contractor applications 7",
+    ]
+    assert main([path, "--propagate-only", "--trace", "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["status"] == "feasible-unknown"
+    assert obj["fixpoint"] == {"x": [-1.0, 1.0], "y": [0.0, 1.0]}
+    assert obj["stats"] == {"contractor_applications": 7, "effective_applications": 6}
+    steps = [(rec["cid"], rec["kind"], rec["changed"]) for rec in obj["trace"]]
+    assert steps == [
+        (0, "sq", True),
+        (1, "sq", True),
+        (2, "sum", True),
+        (3, "const", True),
+        (2, "sum", True),
+        (0, "sq", True),
+        (1, "sq", False),
+    ]
+    assert obj["trace"][0]["before"] == {"x": [-2.0, 2.0], "y": [-2.0, 2.0]}
+    assert obj["trace"][-1]["after"] == {"_t0": [0.0, 1.0], "y": [0.0, 1.0]}
+
+
 def test_json_stats_count_krawczyk_steps(problem_file, capsys):
     assert main([problem_file(QUARTIC_WIDE), "--format", "json"]) == 0
     stats = json.loads(capsys.readouterr().out)["stats"]
@@ -264,6 +298,20 @@ def test_json_stats_count_no_krawczyk_step_on_a_system_that_is_not_square(proble
     assert main([path, "--eps", "1e-6", "--max-boxes", "256", "--format", "json"]) == 3
     stats = json.loads(capsys.readouterr().out)["stats"]
     assert stats["krawczyk_steps"] == stats["krawczyk_narrowed"] == 0
+
+
+def test_json_stats_count_no_krawczyk_step_where_k_cannot_be_formed(problem_file, capsys):
+    # random_mix seed 1, draw 143: square, but every midpoint Jacobian is
+    # singular
+    path = problem_file(
+        "var a in [-1.0, 4.0]; var b in [-1.0, 4.0]; var c in [-2.0, 4.0]; "
+        "constraint -0.5 * a = b; constraint a = b; constraint b - a * 3 - b = b * 1.5;"
+    )
+    assert main([path, "--eps", "1e-6", "--max-boxes", "256", "--format", "json"]) == 3
+    obj = json.loads(capsys.readouterr().out)
+    assert len(obj["boxes"]) == 256
+    assert obj["stats"]["contractor_applications"] == 21_400
+    assert obj["stats"]["krawczyk_steps"] == obj["stats"]["krawczyk_narrowed"] == 0
 
 
 def test_order_flag_changes_work_but_not_answers(problem_file, capsys):
@@ -423,6 +471,25 @@ def test_check_grid_ignores_an_overflowing_rhs(problem_file, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "grid check: 0 candidate points, 0 enclosed (all enclosed)" in out
+
+
+def test_check_grid_keeps_numpy_quiet_where_the_grid_overflows(problem_file, capsys):
+    # x*x overflows at the outer grid points, and inf - inf there is NaN;
+    # such a point is no hit, and no warning reaches stderr
+    path = problem_file("var x in [-1e300, 1e300]; var y in [-1e300, 1e300]; constraint x*x = y*y;")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([path, "--check-grid", "5", "--max-boxes", "4"])
+    assert caught == []
+    captured = capsys.readouterr()
+    assert code == 3 and captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 7 and all(line.startswith("box ") for line in lines[:4])
+    assert lines[4:] == [
+        "incomplete: atomic box budget exceeded",
+        "emitted 4 boxes, pruned 0, contractor applications 135",
+        "grid check: 1 candidate points, 0 enclosed (DISAGREEMENT)",
+    ]
 
 
 def test_check_grid_json(problem_file, capsys):

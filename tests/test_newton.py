@@ -21,7 +21,7 @@ from boxprune import (
     propagate_worklist,
     solve,
 )
-from boxprune import search
+from boxprune import newton, search
 from boxprune.decompose import Add, Neg, Num, Pow, Sub, Var
 from boxprune.newton import _inverse, _operator, _rows, _run, _split
 
@@ -239,6 +239,12 @@ def test_krawczyk_leaves_non_square_and_unbounded_systems_alone(text):
 DOUBLE_ROOT = "var x in [0, 3]; constraint x^2 - 2*x + 1 = 0;"
 # random_mix seed 1, draw 53: one equation in two variables
 DRAW_53 = "var a in [-1.0, 1.0]; var b in [-2.0, 4.0]; constraint a^2 + -a = 1;"
+# random_mix seed 1, draw 143: square, but a = b = -a/2 makes every midpoint
+# Jacobian singular
+DRAW_143 = (
+    "var a in [-1.0, 4.0]; var b in [-1.0, 4.0]; var c in [-2.0, 4.0]; "
+    "constraint -0.5 * a = b; constraint a = b; constraint b - a * 3 - b = b * 1.5;"
+)
 
 
 def test_krawczyk_leaves_a_singular_midpoint_jacobian_alone():
@@ -246,6 +252,12 @@ def test_krawczyk_leaves_a_singular_midpoint_jacobian_alone():
     # [0, 2] has the midpoint 0
     csp = compile_problem("var x in [0, 2]; constraint x^2 - 2*x + 1 = 0;")
     assert krawczyk(csp, csp.initial_box) is csp.initial_box
+
+
+def test_krawczyk_returns_an_empty_box_unchanged():
+    csp = compile_problem("var x in [1, 2]; constraint x^2 = 2;")
+    box = empty_box(csp.initial_box.names)
+    assert krawczyk(csp, box) is box
 
 
 def test_a_midpoint_jacobian_whose_inverse_overflows_has_no_float_y():
@@ -495,10 +507,10 @@ def test_a_node_that_does_not_stall_never_meets_krawczyk():
 def test_the_search_tries_no_krawczyk_step_on_a_system_that_is_not_square(monkeypatch):
     # one equation in two variables: propagation stalls near a's roots, but
     # K cannot be formed, so no step is tried or counted
-    def no_step(csp_, box):
-        raise AssertionError("krawczyk called on a system that is not square")
+    def no_step(*args):
+        raise AssertionError("a Krawczyk step tried on a system that is not square")
 
-    monkeypatch.setattr(search, "krawczyk", no_step)
+    monkeypatch.setattr(newton, "_run", no_step)
     stalls = []
 
     def engine(csp_, box, **kwargs):
@@ -511,6 +523,17 @@ def test_the_search_tries_no_krawczyk_step_on_a_system_that_is_not_square(monkey
     stats = exc.value.report.stats
     assert any(stalls)
     assert (stats.krawczyk_steps, stats.krawczyk_narrowed) == (0, 0)
+
+
+def test_the_search_counts_no_krawczyk_step_where_k_cannot_be_formed():
+    # draw 143 is square and stalls, but no box has a float Y: no step is
+    # counted, and the search is the same as before
+    with pytest.raises(search.BudgetExceeded) as exc:
+        solve(compile_problem(DRAW_143), eps=1e-6, max_boxes=256)
+    report = exc.value.report
+    stats = report.stats
+    assert (stats.contractor_applications, stats.krawczyk_steps, stats.krawczyk_narrowed) == (21_400, 0, 0)
+    assert len(report.atomic_boxes) == 256 and report.exhausted == "atomic box"
 
 
 def test_a_stalled_node_krawczyk_cannot_narrow_is_split():
