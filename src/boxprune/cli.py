@@ -121,7 +121,12 @@ def render_report(
         f"contractor applications {report.stats.contractor_applications}"
     )
     if grid_check is not None:
-        verdict = "all enclosed" if grid_check["agreement"] else "DISAGREEMENT"
+        agreement = grid_check["agreement"]
+        if agreement is None:
+            outside = grid_check["points"] - grid_check["enclosed"]
+            verdict = f"search incomplete, {outside} outside the emitted boxes"
+        else:
+            verdict = "all enclosed" if agreement else "DISAGREEMENT"
         lines.append(
             f"grid check: {grid_check['points']} candidate points, "
             f"{grid_check['enclosed']} enclosed ({verdict})"
@@ -156,6 +161,9 @@ def _render_fixpoint(outcome: PropagationOutcome, fmt: str, names) -> str:
 
 
 def _run_grid_check(csp: Csp, report: SolveReport, n: int) -> dict:
+    """Grid hits against the emitted boxes.  ``agreement`` is None when a
+    hit lies outside them but the search stopped at a budget, since the
+    hit may lie in the part of the box it never reached."""
     bounds = {}
     for name, iv in csp.declarations:
         bounds[name] = (iv.lo, iv.hi)
@@ -166,7 +174,10 @@ def _run_grid_check(csp: Csp, report: SolveReport, n: int) -> dict:
             if all(box[v].lo <= point[v] <= box[v].hi for v in point):
                 enclosed += 1
                 break
-    return {"points": len(points), "enclosed": enclosed, "agreement": enclosed == len(points)}
+    agreement: bool | None = enclosed == len(points)
+    if not agreement and report.incomplete:
+        agreement = None
+    return {"points": len(points), "enclosed": enclosed, "agreement": agreement}
 
 
 def run(args: argparse.Namespace) -> int:

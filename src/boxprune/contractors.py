@@ -143,9 +143,22 @@ def _sum(lo: list[float], hi: list[float], s: tuple[int, ...], _value) -> int:
     to (z'.lo - x'.hi) rounded down, at most y'.lo by z'.lo <= x'.lo +
     y'.lo or by (b).  The upper bounds mirror these, and then (c) sees the
     same operands.  So a second pass changes nothing, bit for bit.
+
+    An addend that is the point [0, 0], as in decompose's x + _t0 = y for
+    x = y, makes the pass a meet of the other addend with z, with no bound
+    call.  Bounds never hold -0.0, so z - 0 and x' + 0 are exact and return
+    their operand: (a) meets x with z, and (c) meets z with x' = x ∩ z,
+    which gives x'.  And (b) leaves the zero alone, since z - x' holds 0
+    once x' ⊆ z: z.lo - x'.hi <= 0 <= z.hi - x'.lo, and rounding outward
+    keeps those signs.  A zero x mirrors this; there (a) may already find
+    0 outside z - y, but only when y ∩ z, which (b) would form, is empty.
     """
     i, j, k = s
     xl, xh, yl, yh, zl, zh = lo[i], hi[i], lo[j], hi[j], lo[k], hi[k]
+    if yl == 0.0 and yh == 0.0:
+        return _meet(lo, hi, i, k, xl, xh, zl, zh, 1)
+    if xl == 0.0 and xh == 0.0:
+        return _meet(lo, hi, j, k, yl, yh, zl, zh, 2)
     a, b = sub_bounds(zl, zh, yl, yh)
     if a > xl:
         xl = a
@@ -204,6 +217,25 @@ def _mul(lo: list[float], hi: list[float], s: tuple[int, ...], _value) -> int:
         # with x and y stable, z already lies inside x * y
         if stable:
             return _store3(lo, hi, i, j, k, xl, xh, yl, yh, zl, zh)
+
+
+def _meet(lo, hi, i, k, xl, xh, zl, zh, bit) -> int:
+    # _sum's pass when the addend other than slot i is zero: slots i and k
+    # both become their meet; `bit` is slot i's bit in the mask
+    ml = xl if xl >= zl else zl
+    mh = xh if xh <= zh else zh
+    if ml > mh:
+        return -1
+    m = 0
+    if ml != xl or mh != xh:
+        lo[i] = ml
+        hi[i] = mh
+        m = bit
+    if ml != zl or mh != zh:
+        lo[k] = ml
+        hi[k] = mh
+        m |= 4
+    return m
 
 
 def _store3(lo, hi, i, j, k, xl, xh, yl, yh, zl, zh) -> int:

@@ -85,6 +85,11 @@ class PropagationOutcome:
 
 Engine = Callable[..., PropagationOutcome]
 
+# module constants, which the propagation loop reads without an attribute lookup
+_FEASIBLE_UNKNOWN = Status.FEASIBLE_UNKNOWN
+_PROVED_EMPTY = Status.PROVED_EMPTY
+_STALLED = Status.STALLED
+
 # slot descriptors store a field without the frozen dataclass's __setattr__
 _new = object.__new__
 _set_fixpoint = PropagationOutcome.fixpoint.__set__
@@ -194,14 +199,16 @@ def _propagate(csp: Csp, box: Box, schedule: Schedule, record_trace: bool, max_s
         missing = sorted(csp.variables - box.scope)
         extra = sorted(box.scope - csp.variables)
         raise ValueError(f"box scope does not match the CSP's variables (missing {missing}, extra {extra})")
-    trace: list[TraceRecord] = []
+    trace: list[TraceRecord] | None = [] if record_trace else None
     steps = effective = 0
-    status = Status.FEASIBLE_UNKNOWN
-    if box.is_empty:
-        status = Status.PROVED_EMPTY
+    status = _FEASIBLE_UNKNOWN
+    lo = box._lo
+    # Box.is_empty inline: an empty box's first bounds are inverted
+    if lo and lo[0] > box._hi[0]:
+        status = _PROVED_EMPTY
     elif csp.constraints:
         # copies, which the fixpoint adopts
-        lo, hi = box._lo[:], box._hi[:]
+        lo, hi = lo[:], box._hi[:]
         lifted = _traced(csp, trace) if record_trace else csp.lifted
         send = schedule.send
         shrunk: tuple[int, ...] | None = None
@@ -211,7 +218,7 @@ def _propagate(csp: Csp, box: Box, schedule: Schedule, record_trace: bool, max_s
             except StopIteration:
                 break
             if steps >= max_steps:
-                status = Status.STALLED
+                status = _STALLED
                 break
             steps += 1
             kernel, args, value, shrinks = lifted[cid]
@@ -221,14 +228,14 @@ def _propagate(csp: Csp, box: Box, schedule: Schedule, record_trace: bool, max_s
                 continue
             effective += 1
             if m < 0:
-                status = Status.PROVED_EMPTY
+                status = _PROVED_EMPTY
                 break
             shrunk = shrinks[m]
-        if status is Status.PROVED_EMPTY:
+        if status is _PROVED_EMPTY:
             box = box._emptied()
         elif effective:
             box = Box._adopt(slot, lo, hi)
-    return _outcome(box, status, steps, effective, tuple(trace) if record_trace else None)
+    return _outcome(box, status, steps, effective, None if trace is None else tuple(trace))
 
 
 def propagate_roundrobin(

@@ -12,7 +12,11 @@ A split halves what is still unknown about the variable.  A range no wider
 than 2^64 is cut at its midpoint.  A wider one is cut at 0 if it holds both
 signs, and otherwise at the power of two halfway between its bounds'
 exponents.  So a split of an unbounded range removes half of its 2,100
-binary exponents, where a cut at the midpoint removes one.
+binary exponents, where a cut at the midpoint removes one.  A variable is
+splittable when its cut lies strictly inside.  The search picks the
+variable and its cut in one pass over the user variables and builds the
+halves from that cut; ``pick_split_var``, ``split`` and ``is_splittable``
+apply the same rule one step at a time.
 
 The root is propagated from all constraints.  A child differs from its
 parent's fixpoint only in the split variable, so it is still a fixpoint of
@@ -136,10 +140,10 @@ class BudgetExceeded(RuntimeError):
 
 
 def is_splittable(iv: Interval) -> bool:
-    """True when the interval holds a midpoint strictly between its bounds,
-    which is when ``split`` can cut it: a range wider than 2^64 always
-    does."""
-    return not iv.is_empty and iv.lo < _midpoint(iv.lo, iv.hi) < iv.hi
+    """True when ``split`` can cut the interval: when the cut the module
+    docstring names lies strictly between its bounds, which is when some
+    float does ([MAX, inf] holds none)."""
+    return not iv.is_empty and iv.lo < _cut(iv.lo, iv.hi) < iv.hi
 
 
 def split(box: Box, var: str) -> tuple[Box, Box]:
@@ -147,10 +151,13 @@ def split(box: Box, var: str) -> tuple[Box, Box]:
     halves share that endpoint."""
     s = box._slot[var]
     lo, hi = box._lo[s], box._hi[s]
-    # halving a sum of -1 ulp rounds to -0.0, which bounds never hold
-    cut = _cut(lo, hi) + 0.0
+    cut = _cut(lo, hi)
     if not lo < cut < hi:
         raise ValueError(f"{var} = {box[var]} cannot be split")
+    return _halves(box, s, cut)
+
+
+def _halves(box: Box, s: int, cut: float) -> tuple[Box, Box]:
     # a cut strictly inside is finite, so both halves are canonical; each
     # half copies the list it changes and shares the other
     left_hi, right_lo = box._hi[:], box._lo[:]
@@ -163,7 +170,8 @@ def _cut(lo: float, hi: float) -> float:
     2^64.  Then 0 if it holds both signs, and otherwise the power of two
     halfway between its bounds' exponents if that lies strictly inside."""
     if not hi - lo > _WIDE:
-        return _midpoint(lo, hi)
+        # halving a sum of -1 ulp rounds to -0.0, which bounds never hold
+        return _midpoint(lo, hi) + 0.0
     if lo < 0.0 < hi:
         return 0.0
     # the magnitudes a <= b of the bounds, and the sign of the range
@@ -188,18 +196,26 @@ def pick_split_var(box: Box, user_vars: tuple[str, ...], eps: float) -> str | No
     """Widest splittable user variable with width > eps; ties go to the
     lexicographically first name, whatever the order of ``user_vars``;
     None when the box is atomic."""
+    picked = _pick(box, user_vars, eps)
+    return None if picked is None else picked[0]
+
+
+def _pick(box: Box, names: tuple[str, ...], eps: float) -> tuple[str, int, float] | None:
+    """``pick_split_var``'s variable with its slot and the cut ``split``
+    makes there, from one ``_cut`` per variable that is the widest so far."""
     slot, lo, hi = box._slot, box._lo, box._hi
-    best: str | None = None
+    best: tuple[str, int, float] | None = None
     best_width = eps
-    for name in user_vars:
+    for name in names:
         s = slot[name]
         a, b = lo[s], hi[s]
         # b - a is the width: +inf when a bound is infinite, negative for
         # the empty interval, so a wider one than eps is nonempty
         width = b - a
-        if width > best_width or (width == best_width and best is not None and name < best):
-            if a < _midpoint(a, b) < b:
-                best = name
+        if width > best_width or (width == best_width and best is not None and name < best[0]):
+            cut = _cut(a, b)
+            if a < cut < b:
+                best = (name, s, cut)
                 best_width = width
     return best
 
@@ -257,7 +273,8 @@ def solve(
         )
 
     by_name = tuple(sorted(csp.user_vars))
-    watchers = dict(zip(csp.names, csp.watchers))
+    # by slot: every box of the search shares the initial box's slot map
+    watchers = csp.watchers
     budget = _SEARCH_BUDGET
     run_budget = 4 * len(csp.constraints)
     # a node's path is its depth and the integer whose low `depth` bits
@@ -303,15 +320,16 @@ def solve(
             if keep_pruned:
                 pruned.append((box, _path(depth, bits)))
             continue
-        var = pick_split_var(fixpoint, by_name, eps)
-        if var is None:
+        picked = _pick(fixpoint, by_name, eps)
+        if picked is None:
             if len(atomic) >= max_boxes:
                 raise BudgetExceeded(max_boxes, report("atomic box"))
             atomic.append((fixpoint, _path(depth, bits)))
             continue
-        left, right = split(fixpoint, var)
+        _, s, cut = picked
+        left, right = _halves(fixpoint, s, cut)
         # a stalled iterate is a fixpoint of no constraint
-        start = None if stalled else watchers[var]
+        start = None if stalled else watchers[s]
         stack.append((depth + 1, bits << 1 | 1, right, start))
         stack.append((depth + 1, bits << 1, left, start))
     return report()

@@ -488,8 +488,33 @@ def test_check_grid_keeps_numpy_quiet_where_the_grid_overflows(problem_file, cap
     assert lines[4:] == [
         "incomplete: atomic box budget exceeded",
         "emitted 4 boxes, pruned 0, contractor applications 135",
-        "grid check: 1 candidate points, 0 enclosed (DISAGREEMENT)",
+        "grid check: 1 candidate points, 0 enclosed (search incomplete, 1 outside the emitted boxes)",
     ]
+
+
+def test_check_grid_after_an_incomplete_search_is_no_disagreement(problem_file, capsys):
+    # the one hit, (0, 0), lies in the part of the box the box budget left
+    # unexplored, so it shows nothing wrong with the boxes
+    path = problem_file("var x in [-1e300, 1e300]; var y in [-1e300, 1e300]; constraint x*x = y*y;")
+    assert main([path, "--check-grid", "5", "--max-boxes", "4"]) == 3
+    out = capsys.readouterr().out
+    assert "DISAGREEMENT" not in out
+    assert out.endswith("grid check: 1 candidate points, 0 enclosed (search incomplete, 1 outside the emitted boxes)\n")
+    assert main([path, "--check-grid", "5", "--max-boxes", "4", "--format", "json"]) == 3
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["incomplete"] is True
+    assert obj["grid_check"] == {"points": 1, "enclosed": 0, "agreement": None}
+
+
+def test_check_grid_after_an_incomplete_search_counts_the_hits_outside(problem_file, capsys):
+    # the budget stops the diagonal at x = 0: (1, 1) and (2, 2) lie beyond
+    path = problem_file("var x in [-2, 2]; var y in [-2, 2]; constraint x = y;")
+    assert main([path, "--check-grid", "5", "--max-boxes", "4", "--eps", "0.5"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "grid check: 5 candidate points, 3 enclosed (search incomplete, 2 outside the emitted boxes)"
+    # with the budget to finish, every hit is enclosed
+    assert main([path, "--check-grid", "5", "--max-boxes", "8", "--eps", "0.5"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "grid check: 5 candidate points, 5 enclosed (all enclosed)"
 
 
 def test_check_grid_json(problem_file, capsys):

@@ -165,6 +165,16 @@ def _sum_boxes(draw):
 @example([(0.0, 1.0), (0.0, 1.0), (-INF, INF)])
 @example([(-INF, 0.0), (0.0, 0.0), (5e-324, INF)])
 @example([(MAX, INF), (MAX, MAX), (-INF, INF)])
+# a zero addend, a meet: slot y under (0, 1, 2) and slot z under (2, 0, 1)
+@example([(-INF, 5.0), (0.0, 0.0), (-1.0, INF)])
+@example([(-INF, -MAX), (0.0, 0.0), (-INF, INF)])
+# slot x under (0, 1, 2) and slot y under (2, 0, 1)
+@example([(0.0, 0.0), (-INF, INF), (-3.0, INF)])
+@example([(0.0, 0.0), (5e-324, 1.0), (-5e-324, 1e-320)])
+@example([(0.0, 0.0), (-5e-324, 5e-324), (0.0, 5e-324)])
+# the meet is empty
+@example([(0.0, 0.0), (1.0, 2.0), (-3.0, -1.0)])
+@example([(-INF, -1.0), (0.0, 0.0), (5e-324, INF)])
 def test_sum_kernel_matches_the_two_pass_reference_bit_for_bit(bounds):
     for s in ((0, 1, 2), (2, 0, 1)):
         lo = [b[0] for b in bounds]

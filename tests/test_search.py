@@ -138,6 +138,58 @@ def test_every_cut_is_finite_strictly_inside_and_shared_by_both_halves(a, b):
         assert cut == _midpoint(lo, hi) + 0.0
 
 
+_EDGE_BOUNDS = st.floats(allow_nan=False) | st.sampled_from(
+    [0.0, 5e-324, -5e-324, 1.0, 2.0**64, -(2.0**64), 2.0**65, 2.0**100, -1e300, 1e300, MAX, -MAX, INF, -INF]
+)
+
+
+@st.composite
+def _split_boxes(draw):
+    """A box over a, b, c, d: ranges wider than 2^64, infinite bounds,
+    ranges with no float strictly inside, and ranges tied in width."""
+    names = draw(st.permutations("abcd"))
+    ranges = []
+    for _ in names:
+        shape = draw(st.sampled_from(["any", "adjacent", "point", "tie"]))
+        if shape == "tie" and ranges:
+            lo, hi = ranges[-1]
+        else:
+            a, b = draw(_EDGE_BOUNDS) + 0.0, draw(_EDGE_BOUNDS) + 0.0
+            if shape == "adjacent":
+                # two bound floats and none between
+                a = min(a, MAX)
+                b = math.nextafter(a, INF)
+            elif shape == "point":
+                a = b = min(max(a, -MAX), MAX)
+            lo, hi = min(a, b), max(a, b)
+            lo, hi = (MAX if lo == INF else lo), (-MAX if hi == -INF else hi)
+        ranges.append((lo, hi))
+    return Box({name: Interval(lo, hi) for name, (lo, hi) in zip(names, ranges)}), names
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(_split_boxes(), st.sampled_from([1e-300, 1.0, 2.0**64, INF]))
+@example((Box({"a": Interval(MAX, INF), "b": Interval(-INF, -MAX)}), "ab"), 1.0)
+@example((Box({"a": Interval(2.0**100, math.nextafter(2.0**100, INF)), "b": Interval(0.0, 1.0)}), "ba"), 1e-300)
+@example((Box({"b": Interval(-INF, INF), "a": Interval(0.0, INF)}), "ba"), 1e-300)
+def test_the_search_cuts_where_split_cuts_the_picked_variable(drawn, eps):
+    box, order = drawn
+    names = tuple(order)
+    picked = search._pick(box, tuple(sorted(names)), eps)
+    var = pick_split_var(box, names, eps)
+    assert (picked is None) == (var is None)
+    for name in names:
+        # a cut lies strictly inside exactly when the midpoint does
+        lo, hi = box[name].lo, box[name].hi
+        assert is_splittable(box[name]) == (lo < _midpoint(lo, hi) < hi)
+    if var is None:
+        return
+    name, slot, cut = picked
+    assert name == var and slot == box._slot[var] and is_splittable(box[var])
+    halves = search._halves(box, slot, cut)
+    assert [box_bits(half) for half in halves] == [box_bits(half) for half in split(box, var)]
+
+
 def test_a_range_beside_the_largest_float_is_cut_without_overflow():
     # a fuzz draw: its search reaches a in [-inf, -2^1022], whose exponents
     # 1025 and 1023 would put the cut at -2^1024, which overflows
@@ -355,9 +407,9 @@ def test_every_child_of_the_diagonal_search_costs_one_application():
     assert report.stats.contractor_applications == 8229 == len(nodes) + 1
 
 
-def test_every_child_of_the_diagonal_search_makes_three_bound_calls(monkeypatch):
-    # x = y is _t0 = 0 and x + _t0 = y, and the sum kernel's one pass is two
-    # differences and a sum
+def test_every_child_of_the_diagonal_search_makes_no_bound_call(monkeypatch):
+    # x = y is _t0 = 0 and x + _t0 = y, and the sum kernel meets x with y
+    # once _t0 is [0, 0], where a full pass makes two differences and a sum
     calls = [0]
 
     def counted(fn):
@@ -382,7 +434,8 @@ def test_every_child_of_the_diagonal_search_makes_three_bound_calls(monkeypatch)
         solve(csp, engine=engine)
     report = info.value.report
     assert len(per_run) == 8228
-    assert set(per_run[1:]) == {3}
+    # the root's const run leaves _t0 at [0, 0] for its sum run
+    assert set(per_run) == {0}
     assert report.stats.contractor_applications == 8229
     assert len(report.atomic_boxes) == 4096
 
