@@ -18,8 +18,9 @@ import argparse
 import json
 import sys
 
-from .boxes import Box
+from .boxes import Box, _json_bound
 from .decompose import Csp, ParseError, compile_problem, render_problem
+from .interval import _fmt
 from .oracle import GridSpec, grid_solutions
 from .propagation import PropagationOutcome, Status, get_engine
 from .search import BudgetExceeded, SolveReport, SolveStatus, solve
@@ -59,15 +60,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _bindings_obj(box: Box, names) -> dict | None:
-    return box.project(tuple(names)).to_json_obj()
+    """to_json_obj of the box projected on the sorted ``names``."""
+    if names and box.is_empty:
+        return None
+    return {v: [_json_bound(box._lo[box._slot[v]]), _json_bound(box._hi[box._slot[v]])] for v in names}
 
 
 def _bindings_text(box: Box, names) -> str:
-    return str(box.project(tuple(names)))
-
-
-def _visible_vars(csp: Csp, show_aux: bool):
-    return sorted(csp.variables) if show_aux else list(csp.user_vars)
+    """str of the box projected on the sorted ``names``."""
+    return "{" + ", ".join(f"{v}={_fmt(box._lo[box._slot[v]], box._hi[box._slot[v]])}" for v in names) + "}"
 
 
 def render_report(
@@ -78,6 +79,7 @@ def render_report(
     grid_check: dict | None = None,
 ) -> str:
     """Render a solve report; `user_vars` lists the variables to display."""
+    user_vars = sorted(user_vars)
     if fmt == "json":
         obj = {
             "status": report.status.value,
@@ -203,7 +205,7 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
     engine = get_engine(args.order)
-    names = _visible_vars(csp, args.show_aux)
+    names = sorted(csp.variables if args.show_aux else csp.user_vars)
 
     if args.propagate_only:
         outcome = engine(csp, csp.initial_box, record_trace=args.trace)

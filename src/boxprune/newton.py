@@ -129,14 +129,20 @@ def _inverse(a: list[list[float]]) -> list[list[float]] | None:
             return None
         rows[col], rows[pivot] = rows[pivot], rows[col]
         # the pivot row is zero left of col, and what any row holds there
-        # never feeds a later pivot or the inverse: work from col on only
-        top = [v / p for v in rows[col][col:]]
-        rows[col][col:] = top
+        # never feeds a later pivot or the inverse: work from col on, where
+        # the scaled pivot row is nonzero (a zero there moves only zero signs)
+        top = [(j, v / p) for j, v in enumerate(rows[col][col:], col) if v != 0.0]
+        for j, w in top:
+            rows[col][j] = w
         for r in range(n):
             row = rows[r]
             f = row[col]
             if r != col and f != 0.0:
-                row[col:] = [v - f * w for v, w in zip(row[col:], top)]
+                # a non-finite f makes every entry of Y's row non-finite
+                if not -_INF < f < _INF:
+                    return None
+                for j, w in top:
+                    row[j] -= f * w
     inverse = [row[n:] for row in rows]
     return inverse if all(math.isfinite(v) for row in inverse for v in row) else None
 

@@ -16,12 +16,12 @@ watching the variable it just split, since the parent's fixpoint is still a
 fixpoint of every other one.  The caller vouches for the constraints left
 out; the engine does not check them.
 
-The loop works on the system as compiled by Csp: it copies the box's two
-bound lists, the lower and upper bounds of every variable in slot order,
-applies each constraint's float-level kernel to the copies in place, tells
-the schedule which slots shrank, and makes the copies the fixpoint Box's
-own at the end.  A traced run hands the loop kernels wrapped to record
-each application, so the loop holds no trace code.
+The loop (_run) works on the system as compiled by Csp: it applies each
+constraint's float-level kernel in place to two bound lists, the lower and
+upper bounds of every variable in slot order, and tells the schedule which
+slots shrank.  An engine runs it on copies of its box's lists, which the
+fixpoint Box adopts; the search runs a built-in order on lists of its own.
+A traced run hands the loop kernels wrapped to record each application.
 
 An engine that has spent ``max_steps`` applications short of the fixpoint
 stops and returns its current iterate with Status.STALLED.  Every
@@ -90,25 +90,6 @@ _FEASIBLE_UNKNOWN = Status.FEASIBLE_UNKNOWN
 _PROVED_EMPTY = Status.PROVED_EMPTY
 _STALLED = Status.STALLED
 
-# slot descriptors store a field without the frozen dataclass's __setattr__
-_new = object.__new__
-_set_fixpoint = PropagationOutcome.fixpoint.__set__
-_set_status = PropagationOutcome.status.__set__
-_set_steps = PropagationOutcome.steps.__set__
-_set_effective = PropagationOutcome.effective_steps.__set__
-_set_trace = PropagationOutcome.trace.__set__
-
-
-def _outcome(fixpoint: Box, status: Status, steps: int, effective: int, trace) -> PropagationOutcome:
-    """Fast constructor, as ``interval._raw`` is for Interval."""
-    out = _new(PropagationOutcome)
-    _set_fixpoint(out, fixpoint)
-    _set_status(out, status)
-    _set_steps(out, steps)
-    _set_effective(out, effective)
-    _set_trace(out, trace)
-    return out
-
 # A schedule yields the id of the next constraint to apply, is sent the
 # slots that application shrank (in the order of the compiled constraint's
 # arguments), and returns once every constraint is known to be at its
@@ -148,7 +129,7 @@ def _fifo(csp: Csp, start: Iterable[int] | None) -> Schedule:
         queued.discard(cid)
 
 
-def _uniform(csp: Csp, seed: int, start: Iterable[int] | None) -> Schedule:
+def _uniform(csp: Csp, start: Iterable[int] | None, seed: int) -> Schedule:
     rng = random.Random(seed)
     watchers = csp.watchers
     # the unstable ids, kept sorted so that a pick of the k-th smallest
@@ -192,6 +173,32 @@ def _traced(csp: Csp, trace: list[TraceRecord]) -> list[Lifted]:
     return [wrap(con, lifted) for con, lifted in zip(csp.constraints, csp.lifted)]
 
 
+def _run(lifted: list[Lifted], lo: list[float], hi: list[float], schedule: Schedule, max_steps: int) -> tuple[Status, int, int]:
+    """Apply ``lifted`` in ``schedule``'s order to the bounds lo, hi of a
+    nonempty box, in place; the status, applications and effective ones.
+    Lists proved empty are left in no particular state."""
+    steps = effective = 0
+    send = schedule.send
+    shrunk: tuple[int, ...] | None = None
+    while True:
+        try:
+            cid = send(shrunk)
+        except StopIteration:
+            return _FEASIBLE_UNKNOWN, steps, effective
+        if steps >= max_steps:
+            return _STALLED, steps, effective
+        steps += 1
+        kernel, args, value, shrinks = lifted[cid]
+        m = kernel(lo, hi, args, value)
+        if m == 0:
+            shrunk = ()
+            continue
+        effective += 1
+        if m < 0:
+            return _PROVED_EMPTY, steps, effective
+        shrunk = shrinks[m]
+
+
 def _propagate(csp: Csp, box: Box, schedule: Schedule, record_trace: bool, max_steps: int) -> PropagationOutcome:
     # the boxes of one system share the initial box's name -> slot map
     slot = box._slot
@@ -200,42 +207,16 @@ def _propagate(csp: Csp, box: Box, schedule: Schedule, record_trace: bool, max_s
         extra = sorted(box.scope - csp.variables)
         raise ValueError(f"box scope does not match the CSP's variables (missing {missing}, extra {extra})")
     trace: list[TraceRecord] | None = [] if record_trace else None
-    steps = effective = 0
-    status = _FEASIBLE_UNKNOWN
-    lo = box._lo
-    # Box.is_empty inline: an empty box's first bounds are inverted
-    if lo and lo[0] > box._hi[0]:
-        status = _PROVED_EMPTY
-    elif csp.constraints:
-        # copies, which the fixpoint adopts
-        lo, hi = lo[:], box._hi[:]
-        lifted = _traced(csp, trace) if record_trace else csp.lifted
-        send = schedule.send
-        shrunk: tuple[int, ...] | None = None
-        while True:
-            try:
-                cid = send(shrunk)
-            except StopIteration:
-                break
-            if steps >= max_steps:
-                status = _STALLED
-                break
-            steps += 1
-            kernel, args, value, shrinks = lifted[cid]
-            m = kernel(lo, hi, args, value)
-            if m == 0:
-                shrunk = ()
-                continue
-            effective += 1
-            if m < 0:
-                status = _PROVED_EMPTY
-                break
-            shrunk = shrinks[m]
-        if status is _PROVED_EMPTY:
-            box = box._emptied()
-        elif effective:
-            box = Box._adopt(slot, lo, hi)
-    return _outcome(box, status, steps, effective, None if trace is None else tuple(trace))
+    if box.is_empty:
+        return PropagationOutcome(box, _PROVED_EMPTY, 0, 0, None if trace is None else ())
+    # copies, which the fixpoint adopts
+    lo, hi = box._lo[:], box._hi[:]
+    status, steps, effective = _run(_traced(csp, trace) if record_trace else csp.lifted, lo, hi, schedule, max_steps)
+    if status is _PROVED_EMPTY:
+        box = box._emptied()
+    elif effective:
+        box = Box._adopt(slot, lo, hi)
+    return PropagationOutcome(box, status, steps, effective, None if trace is None else tuple(trace))
 
 
 def propagate_roundrobin(
@@ -291,7 +272,7 @@ def propagate_random(
     application adds every constraint sharing a changed variable.
     Deterministic for a given seed.
     """
-    return _propagate(csp, box, _uniform(csp, seed, start), record_trace, max_steps)
+    return _propagate(csp, box, _uniform(csp, start, seed), record_trace, max_steps)
 
 
 def get_engine(spec: str) -> Engine:
@@ -308,3 +289,16 @@ def get_engine(spec: str) -> Engine:
             raise ValueError(f"bad random seed {tail!r} in engine spec {spec!r}") from None
         return partial(propagate_random, seed=seed)
     raise ValueError(f"unknown propagation order {spec!r}")
+
+
+# the built-in engines as defined here: no wrapper patched over their names
+_ORDERS = ((propagate_roundrobin, _sweeps), (propagate_worklist, _fifo))
+_RANDOM = propagate_random
+
+
+def _schedule(engine: Engine) -> Callable[[Csp, Iterable[int] | None], Schedule] | None:
+    """The schedule, as ``schedule(csp, start)``, of a built-in order: the
+    roundrobin, worklist or get_engine's random:<seed>; None for others."""
+    if type(engine) is partial and engine.func is _RANDOM and not engine.args and engine.keywords.keys() == {"seed"}:
+        return partial(_uniform, seed=engine.keywords["seed"])
+    return next((schedule for order, schedule in _ORDERS if order is engine), None)

@@ -43,6 +43,14 @@ differently or end an ulp apart; each order's boxes hold every root.
 The whole search shares one budget of 1,000,000 applications; each run
 gets at most what is left of it.
 
+A node owns two bound lists, as the propagation loop reads them: the
+root's are copies of the initial box's, and each half of a split copies
+the list it changes and takes over its parent's other one.  A built-in order
+(propagate_roundrobin, propagate_worklist, or get_engine's random:<seed>)
+runs in place on them, and a Box is built only for a Krawczyk stage, an
+emitted box or a kept pruned box.  Any other engine is called once per
+run with a Box, through the Engine protocol; both give the same report.
+
 Split halves share their cut point, so a solution sitting exactly on a cut
 can legitimately surface in two adjacent enclosures.
 """
@@ -59,7 +67,7 @@ from .contractors import TraceRecord
 from .decompose import Csp
 from .interval import Interval, _midpoint
 from .newton import _stage
-from .propagation import Engine, Status, propagate_worklist
+from .propagation import _PROVED_EMPTY, _STALLED, Engine, _run, _schedule, _traced, propagate_worklist
 
 __all__ = [
     "SolveStatus",
@@ -154,10 +162,6 @@ def split(box: Box, var: str) -> tuple[Box, Box]:
     cut = _cut(lo, hi)
     if not lo < cut < hi:
         raise ValueError(f"{var} = {box[var]} cannot be split")
-    return _halves(box, s, cut)
-
-
-def _halves(box: Box, s: int, cut: float) -> tuple[Box, Box]:
     # a cut strictly inside is finite, so both halves are canonical; each
     # half copies the list it changes and shares the other
     left_hi, right_lo = box._hi[:], box._lo[:]
@@ -196,14 +200,14 @@ def pick_split_var(box: Box, user_vars: tuple[str, ...], eps: float) -> str | No
     """Widest splittable user variable with width > eps; ties go to the
     lexicographically first name, whatever the order of ``user_vars``;
     None when the box is atomic."""
-    picked = _pick(box, user_vars, eps)
+    picked = _pick(box._slot, box._lo, box._hi, user_vars, eps)
     return None if picked is None else picked[0]
 
 
-def _pick(box: Box, names: tuple[str, ...], eps: float) -> tuple[str, int, float] | None:
-    """``pick_split_var``'s variable with its slot and the cut ``split``
-    makes there, from one ``_cut`` per variable that is the widest so far."""
-    slot, lo, hi = box._slot, box._lo, box._hi
+def _pick(slot: dict, lo: list[float], hi: list[float], names: tuple[str, ...], eps: float) -> tuple[str, int, float] | None:
+    """``pick_split_var``'s variable of the box with bounds lo, hi by
+    ``slot``, with its slot and the cut ``split`` makes there, from one
+    ``_cut`` per variable that is the widest so far."""
     best: tuple[str, int, float] | None = None
     best_width = eps
     for name in names:
@@ -231,16 +235,17 @@ def solve(
 ) -> SolveReport:
     """Depth-first branch-and-prune from the CSP's initial box.
 
-    ``engine`` is called as ``engine(csp, box, record_trace=...,
-    start=..., max_steps=...)``, once per node and again after each
-    Krawczyk stage that narrowed the node's box.  ``start`` is the split
-    variable's watchers for a child of a node that reached its fixpoint,
-    and None at the root, after a Krawczyk stage and for a child of a node
-    that stalled (see the propagation engines).  A node's trace
-    concatenates the traces of its runs.  Raises BudgetExceeded, carrying
-    the partial report, rather than emitting an atomic box beyond
-    max_boxes or running the engine once the search has spent 1,000,000
-    applications.
+    A built-in order runs in place on the node's bound lists (see the
+    module docstring).  Any other ``engine`` is called as ``engine(csp,
+    box, record_trace=..., start=..., max_steps=...)``, once per node and
+    again after each Krawczyk stage that narrowed the node's box.
+    ``start`` is the split variable's watchers for a child of a node that
+    reached its fixpoint, and None at the root, after a Krawczyk stage and
+    for a child of a node that stalled (see the propagation engines).  A
+    node's trace concatenates the traces of its runs.  Raises
+    BudgetExceeded, carrying the partial report, rather than emitting an
+    atomic box beyond max_boxes or running the engine once the search has
+    spent 1,000,000 applications.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -273,65 +278,78 @@ def solve(
         )
 
     by_name = tuple(sorted(csp.user_vars))
-    # by slot: every box of the search shares the initial box's slot map
+    initial = csp.initial_box
+    slot = initial._slot  # shared by every box of the search
     watchers = csp.watchers
     budget = _SEARCH_BUDGET
     run_budget = 4 * len(csp.constraints)
+    # an empty initial box goes to the engine, whose run tests emptiness;
+    # traced kernels append to one list, emptied after each run
+    schedule = None if initial.is_empty else _schedule(engine)
+    run_trace: list[TraceRecord] = []
+    lifted = _traced(csp, run_trace) if record_trace else csp.lifted
     # a node's path is its depth and the integer whose low `depth` bits
     # spell the path; the string is built only for nodes the report keeps
-    stack: list[tuple[int, int, Box, tuple[int, ...] | None]] = [(0, 0, csp.initial_box, None)]
-    stalled_status = Status.STALLED
+    stack: list[tuple] = [(0, 0, initial._lo[:], initial._hi[:], None)]
     while stack:
-        depth, bits, box, start = stack.pop()
+        depth, bits, lo, hi, start = stack.pop()
         remaining = budget - applications
         if remaining <= 0:
             raise BudgetExceeded(budget, report("contractor application"))
         if depth > max_depth:
             max_depth = depth
-        outcome = engine(
-            csp, box, record_trace=record_trace, start=start, max_steps=run_budget if run_budget < remaining else remaining
-        )
-        applications += outcome.steps
+        max_steps = run_budget if run_budget < remaining else remaining
+        # the bounds of the node's last run, which a kept pruned box shows
+        kept = (lo[:], hi[:]) if keep_pruned else None
+        if schedule is None:
+            outcome = engine(csp, Box._adopt(slot, lo, hi), record_trace=record_trace, start=start, max_steps=max_steps)
+            fixpoint, steps, trace = outcome.fixpoint, outcome.steps, outcome.trace
+            lo, hi, status = fixpoint._lo, fixpoint._hi, _PROVED_EMPTY if fixpoint.is_empty else outcome.status
+        else:
+            status, steps, _ = _run(lifted, lo, hi, schedule(csp, start), max_steps)
+            if record_trace:
+                trace = tuple(run_trace)
+                run_trace.clear()
+        applications += steps
         if record_trace:
             path = _path(depth, bits)
             if traces and traces[-1][0] == path:
                 # a restart, popped right after the run it continues
-                traces[-1] = (path, traces[-1][1] + outcome.trace)
+                traces[-1] = (path, traces[-1][1] + trace)
             else:
-                traces.append((path, outcome.trace))
-        fixpoint = outcome.fixpoint
-        stalled = outcome.status is stalled_status
-        if stalled:
-            narrowed = fixpoint
+                traces.append((path, trace))
+        if status is _STALLED:
+            fixpoint = narrowed = Box._adopt(slot, lo, hi)
             for step in _stage(csp, fixpoint):
                 newton_steps += 1
                 # a last step that returns its box narrows nothing
                 newton_narrowed += step is not narrowed
                 narrowed = step
-            if narrowed is not fixpoint and not narrowed.is_empty:
+            if narrowed.is_empty:
+                status = _PROVED_EMPTY
+            elif narrowed is not fixpoint:
                 # the same node again, from all constraints
-                stack.append((depth, bits, narrowed, None))
+                stack.append((depth, bits, narrowed._lo, narrowed._hi, None))
                 continue
-            fixpoint = narrowed
-        # Box.is_empty inline: an empty box's first bounds are inverted
-        lo = fixpoint._lo
-        if lo and lo[0] > fixpoint._hi[0]:
+        if status is _PROVED_EMPTY:
             pruned_count += 1
             if keep_pruned:
-                pruned.append((box, _path(depth, bits)))
+                pruned.append((Box._adopt(slot, *kept), _path(depth, bits)))
             continue
-        picked = _pick(fixpoint, by_name, eps)
+        picked = _pick(slot, lo, hi, by_name, eps)
         if picked is None:
             if len(atomic) >= max_boxes:
                 raise BudgetExceeded(max_boxes, report("atomic box"))
-            atomic.append((fixpoint, _path(depth, bits)))
+            atomic.append((Box._adopt(slot, lo, hi), _path(depth, bits)))
             continue
+        # the halves, as split builds them
         _, s, cut = picked
-        left, right = _halves(fixpoint, s, cut)
+        left_hi, right_lo = hi[:], lo[:]
+        left_hi[s] = right_lo[s] = cut
         # a stalled iterate is a fixpoint of no constraint
-        start = None if stalled else watchers[s]
-        stack.append((depth + 1, bits << 1 | 1, right, start))
-        stack.append((depth + 1, bits << 1, left, start))
+        start = None if status is _STALLED else watchers[s]
+        stack.append((depth + 1, bits << 1 | 1, right_lo, hi, start))
+        stack.append((depth + 1, bits << 1, lo, left_hi, start))
     return report()
 
 

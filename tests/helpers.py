@@ -788,6 +788,31 @@ def sweep_reference(program, c, lo, hi):
     return points, derivs
 
 
+# Reference inverse: newton._inverse as it was before it skipped the
+# columns where the scaled pivot row is zero.  Its Gauss-Jordan updates
+# every column from the pivot on, the identity half's zeros included.
+
+
+def inverse_reference(a: list[list[float]]) -> list[list[float]] | None:
+    n = len(a)
+    rows = [row + [1.0 if i == j else 0.0 for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(rows[r][col]))
+        p = rows[pivot][col]
+        if not (p != 0.0 and math.isfinite(p)):
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = [v / p for v in rows[col][col:]]
+        rows[col][col:] = top
+        for r in range(n):
+            row = rows[r]
+            f = row[col]
+            if r != col and f != 0.0:
+                row[col:] = [v - f * w for v, w in zip(row[col:], top)]
+    inverse = [row[n:] for row in rows]
+    return inverse if all(math.isfinite(v) for row in inverse for v in row) else None
+
+
 _ZERO_REF = Num("0", 0.0, True)
 
 

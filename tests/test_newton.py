@@ -32,6 +32,7 @@ from helpers import (
     broyden_root,
     check_nodes_against_plain_fixpoints,
     holds_point,
+    inverse_reference,
     quartic_csp_xyzu,
     random_system_text,
     solve_by_node,
@@ -281,6 +282,21 @@ def test_the_inverse_is_an_inverse(seed, n):
         for j in range(n):
             exact = sum(Fraction(y[i][k]) * Fraction(a[k][j]) for k in range(n))
             assert abs(exact - (i == j)) < 1e-13, (i, j)
+
+
+_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300])
+
+
+@settings(max_examples=2000, derandomize=True, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(st.lists(
+    st.one_of(_ENTRIES, st.floats(-10.0, 10.0)), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_the_inverse_matches_the_dense_elimination_but_for_the_signs_of_zeros(a):
+    # _rows skips an entry of Y that is 0.0, so K reads only Y's nonzeros
+    y, reference = _inverse([row[:] for row in a]), inverse_reference([row[:] for row in a])
+    assert (y is None) == (reference is None)
+    if y is not None:
+        for row, ref in zip(y, reference):
+            assert [v.hex() if v else 0.0 for v in row] == [v.hex() if v else 0.0 for v in ref]
 
 
 def test_krawczyk_narrows_to_a_regular_root_quadratically():

@@ -32,7 +32,7 @@ from boxprune import (
     solve,
     split,
 )
-from boxprune import contractors, search
+from boxprune import contractors, propagation, search
 from boxprune.decompose import Add, ExprAst, Neg, Num, Pow, Sub, Var
 from boxprune.interval import _midpoint
 from boxprune.search import is_splittable
@@ -175,7 +175,7 @@ def _split_boxes(draw):
 def test_the_search_cuts_where_split_cuts_the_picked_variable(drawn, eps):
     box, order = drawn
     names = tuple(order)
-    picked = search._pick(box, tuple(sorted(names)), eps)
+    picked = search._pick(box._slot, box._lo, box._hi, tuple(sorted(names)), eps)
     var = pick_split_var(box, names, eps)
     assert (picked is None) == (var is None)
     for name in names:
@@ -186,8 +186,9 @@ def test_the_search_cuts_where_split_cuts_the_picked_variable(drawn, eps):
         return
     name, slot, cut = picked
     assert name == var and slot == box._slot[var] and is_splittable(box[var])
-    halves = search._halves(box, slot, cut)
-    assert [box_bits(half) for half in halves] == [box_bits(half) for half in split(box, var)]
+    # the search builds its halves from this cut as split does
+    left, right = split(box, var)
+    assert left._hi[slot] == cut == right._lo[slot]
 
 
 def test_a_range_beside_the_largest_float_is_cut_without_overflow():
@@ -594,6 +595,92 @@ def test_engine_choice_does_not_change_the_enclosures():
     with_worklist, with_roundrobin = reports
     assert [p for _, p in with_worklist.atomic_boxes] == [p for _, p in with_roundrobin.atomic_boxes]
     assert with_worklist.pruned_count == with_roundrobin.pruned_count
+
+
+# random_mix (perfbench) seed-1 draws 46, 51, 90, 108 and 136.  Each
+# prunes nodes and has nodes that stall; on 136 Krawczyk steps narrow a
+# stalled node, which then runs again
+PRUNING_STALLING_DRAWS = [
+    "var a in [-2.0, 1.0]; var b in [-2.0, 2.0]; var c in [-1.0, 2.0]; constraint a + a + b = a; "
+    "constraint a - a * 2 - 0.25 = b; constraint -0 + 1.5 * a = c^2;",
+    "var a in [-1.0, 2.0]; var b in [-1.0, 2.0]; constraint a = a; constraint -b = a; constraint a^2 - 0^2 = b;",
+    "var a in [-1.0, 4.0]; constraint a^2 = 2 * a; constraint a - a * a + a = a;",
+    "var a in [0.0, 4.0]; var b in [0.0, 1.0]; constraint b^2 - a^2 = b; constraint -0 * 1 * b = a; "
+    "constraint a^2 = 3 - 3;",
+    "var a in [-1.0, 4.0]; var b in [0.0, 2.0]; var c in [-1.0, 2.0]; constraint -b * b - 0.25 = c; "
+    "constraint a - 0.5 = c * b; constraint b = c^2;",
+]
+NODE_RUNS = [
+    ("circle", QUARTIC_WIDE, 1e-10, 4096),
+    ("hyperbola", "var x; var y; constraint x*y = 1; constraint x = y;", 1e-10, 4096),
+    ("broyden-4", broyden(4), 1e-8, 4096),
+    ("double-root", "var x in [0, 3]; constraint x^2 - 2*x + 1 = 0;", 1e-6, 64),
+] + [(f"draw-{i}", text, 1e-6, 256) for i, text in zip((46, 51, 90, 108, 136), PRUNING_STALLING_DRAWS)]
+
+
+def report_bits(report):
+    """A report's boxes, kept pruned boxes and trace records with float.hex
+    bounds, and its other fields but the wall time."""
+    stats = report.stats
+    return (
+        [(path, box_bits(box)) for box, path in report.atomic_boxes],
+        [(path, box_bits(box)) for box, path in report.pruned_boxes or ()],
+        [
+            (path, [(r.cid, r.kind, box_bits(r.before), box_bits(r.after), r.changed) for r in records])
+            for path, records in report.traces or ()
+        ],
+        (report.pruned_count, report.status, report.exhausted, stats.contractor_applications, stats.max_depth),
+        (stats.krawczyk_steps, stats.krawczyk_narrowed),
+    )
+
+
+def _solve_to_the_end(csp, **kwargs):
+    try:
+        return solve(csp, **kwargs)
+    except BudgetExceeded as exc:
+        return exc.report
+
+
+@pytest.mark.parametrize("order", ["worklist", "roundrobin", "random:7"])
+@pytest.mark.parametrize("name,text,eps,max_boxes", NODE_RUNS, ids=[case[0] for case in NODE_RUNS])
+def test_a_built_in_order_runs_as_an_opaque_engine_around_it_does(monkeypatch, name, text, eps, max_boxes, order):
+    # solve runs a built-in order in place on the node's bound lists, and
+    # calls any other engine once per run with a Box; both give every bit
+    csp = compile_problem(text)
+    engine = get_engine(order)
+    stalled = []
+
+    def opaque(csp_, box, **kwargs):
+        outcome = engine(csp_, box, **kwargs)
+        stalled.append(outcome.status is Status.STALLED)
+        return outcome
+
+    kwargs = dict(eps=eps, max_boxes=max_boxes, keep_pruned=True, record_trace=True)
+    expected = report_bits(_solve_to_the_end(csp, engine=opaque, **kwargs))
+    with monkeypatch.context() as patch:
+        # the built-in order makes no engine call
+        patch.setattr(propagation, "_propagate", None)
+        assert report_bits(_solve_to_the_end(csp, engine=engine, **kwargs)) == expected
+    if name.startswith("draw-"):
+        assert expected[3][0] > 0 and any(stalled)
+
+
+@pytest.mark.parametrize("order", ["worklist", "roundrobin", "random:7"])
+@pytest.mark.parametrize("name,text,eps,max_boxes", NODE_RUNS, ids=[case[0] for case in NODE_RUNS])
+def test_in_place_runs_never_change_a_box_the_caller_or_the_report_holds(name, text, eps, max_boxes, order):
+    csp = compile_problem(text)
+    initial = box_bits(csp.initial_box)
+    kwargs = dict(eps=eps, engine=get_engine(order), keep_pruned=True)
+    full = report_bits(_solve_to_the_end(csp, max_boxes=max_boxes, **kwargs))
+    assert box_bits(csp.initial_box) == initial
+    assert report_bits(_solve_to_the_end(csp, max_boxes=max_boxes, **kwargs)) == full
+    # a search cut short at k boxes stops right after keeping its k-th, so
+    # a box that the longer search changed after keeping it would differ
+    atomic, pruned = full[0], full[1]
+    for k in sorted({k for k in (1, len(atomic) // 2, len(atomic) - 1) if k > 0}):
+        cut = report_bits(_solve_to_the_end(csp, max_boxes=k, **kwargs))
+        assert cut[0] == atomic[:k]
+        assert cut[1] == pruned[: len(cut[1])]
 
 
 def test_optional_report_fields_default_to_none():
