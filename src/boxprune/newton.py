@@ -295,6 +295,9 @@ def krawczyk(csp: Csp, box: Box) -> Box:
 
     Returns the empty box when the meet is empty: ``box`` holds no root.
     Returns ``box`` itself when nothing narrows, which includes an empty
-    box and every box over which _operator cannot form K.
+    box and every box over which _operator cannot form K.  Raises
+    ValueError when ``box`` lacks a user variable.
     """
+    if missing := [v for v in csp.user_vars if v not in box._slot]:
+        raise ValueError(f"box lacks the CSP's user variables {sorted(missing)}")
     return box if box.is_empty else next(_stage(csp, box), box)

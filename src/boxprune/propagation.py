@@ -19,9 +19,10 @@ out; the engine does not check them.
 The loop (_run) works on the system as compiled by Csp: it applies each
 constraint's float-level kernel in place to two bound lists, the lower and
 upper bounds of every variable in slot order, and tells the schedule which
-slots shrank.  An engine runs it on copies of its box's lists, which the
-fixpoint Box adopts; the search runs a built-in order on lists of its own.
-A traced run hands the loop kernels wrapped to record each application.
+slots shrank.  A built-in order (_Order) holds its schedule; calling it runs
+the loop on copies of its box's lists, which the fixpoint Box adopts, and
+the search runs the schedule on lists of its own.  A traced run hands the
+loop kernels wrapped to record each application.
 
 An engine that has spent ``max_steps`` applications short of the fixpoint
 stops and returns its current iterate with Status.STALLED.  Every
@@ -102,8 +103,13 @@ _DEFAULT_MAX_STEPS = 1_000_000
 
 
 def _sweeps(csp: Csp, start: Iterable[int] | None) -> Schedule:
+    """Sweep constraints in id order until one full sweep changes nothing.
+
+    With ``start``, the first sweep visits only those constraints, and the
+    run ends there if that sweep changed nothing.
+    """
     every = range(len(csp.constraints))
-    sweep = every if start is None else sorted(start)
+    sweep = every if start is None else sorted(set(start))
     changed = True
     while changed:
         changed = False
@@ -114,9 +120,19 @@ def _sweeps(csp: Csp, start: Iterable[int] | None) -> Schedule:
 
 
 def _fifo(csp: Csp, start: Iterable[int] | None) -> Schedule:
+    """FIFO worklist: a changed variable requeues every constraint on it.
+
+    The queue starts holding all constraints in id order, or the ids in
+    ``start`` in ascending order, and never holds a constraint twice.  When
+    an application changes some variables, every other constraint whose
+    scope mentions one of them is appended again unless already queued.
+    The applied one is not: its kernel runs to a local fixpoint, so its
+    own shrink leaves it stable, and only another constraint's shrink can
+    make it worth applying again.
+    """
     watchers = csp.watchers
-    queue = deque(range(len(csp.constraints)) if start is None else sorted(start))
-    queued = set(queue)
+    queued = set(range(len(csp.constraints)) if start is None else start)
+    queue = deque(sorted(queued))
     while queue:
         cid = queue.popleft()
         # cid stays marked queued while its watchers are, so its own shrink
@@ -134,8 +150,8 @@ def _uniform(csp: Csp, start: Iterable[int] | None, seed: int) -> Schedule:
     watchers = csp.watchers
     # the unstable ids, kept sorted so that a pick of the k-th smallest
     # needs no sort, and as a set for membership
-    pool = sorted(set(range(len(csp.constraints)) if start is None else start))
-    unstable = set(pool)
+    unstable = set(range(len(csp.constraints)) if start is None else start)
+    pool = sorted(unstable)
     while pool:
         cid = pool[rng.randrange(len(pool))]
         for v in (yield cid):
@@ -199,61 +215,44 @@ def _run(lifted: list[Lifted], lo: list[float], hi: list[float], schedule: Sched
         shrunk = shrinks[m]
 
 
-def _propagate(csp: Csp, box: Box, schedule: Schedule, record_trace: bool, max_steps: int) -> PropagationOutcome:
-    # the boxes of one system share the initial box's name -> slot map
-    slot = box._slot
-    if slot is not csp.initial_box._slot and box.names != csp.names:
-        missing = sorted(csp.variables - box.scope)
-        extra = sorted(box.scope - csp.variables)
-        raise ValueError(f"box scope does not match the CSP's variables (missing {missing}, extra {extra})")
-    trace: list[TraceRecord] | None = [] if record_trace else None
-    if box.is_empty:
-        return PropagationOutcome(box, _PROVED_EMPTY, 0, 0, None if trace is None else ())
-    # copies, which the fixpoint adopts
-    lo, hi = box._lo[:], box._hi[:]
-    status, steps, effective = _run(_traced(csp, trace) if record_trace else csp.lifted, lo, hi, schedule, max_steps)
-    if status is _PROVED_EMPTY:
-        box = box._emptied()
-    elif effective:
-        box = Box._adopt(slot, lo, hi)
-    return PropagationOutcome(box, status, steps, effective, None if trace is None else tuple(trace))
+class _Order:
+    """An engine that runs the loop under ``schedule(csp, start)``."""
+
+    __slots__ = ("schedule",)
+
+    def __init__(self, schedule: Callable[[Csp, Iterable[int] | None], Schedule]):
+        self.schedule = schedule
+
+    def __call__(
+        self,
+        csp: Csp,
+        box: Box,
+        *,
+        record_trace: bool = False,
+        max_steps: int = _DEFAULT_MAX_STEPS,
+        start: Iterable[int] | None = None,
+    ) -> PropagationOutcome:
+        # the boxes of one system share the initial box's name -> slot map
+        slot = box._slot
+        if slot is not csp.initial_box._slot and box.names != csp.names:
+            missing = sorted(csp.variables - box.scope)
+            extra = sorted(box.scope - csp.variables)
+            raise ValueError(f"box scope does not match the CSP's variables (missing {missing}, extra {extra})")
+        trace: list[TraceRecord] | None = [] if record_trace else None
+        if box.is_empty:
+            return PropagationOutcome(box, _PROVED_EMPTY, 0, 0, None if trace is None else ())
+        # copies, which the fixpoint adopts
+        lo, hi = box._lo[:], box._hi[:]
+        status, steps, effective = _run(_traced(csp, trace) if record_trace else csp.lifted, lo, hi, self.schedule(csp, start), max_steps)
+        if status is _PROVED_EMPTY:
+            box = box._emptied()
+        elif effective:
+            box = Box._adopt(slot, lo, hi)
+        return PropagationOutcome(box, status, steps, effective, None if trace is None else tuple(trace))
 
 
-def propagate_roundrobin(
-    csp: Csp,
-    box: Box,
-    *,
-    record_trace: bool = False,
-    max_steps: int = _DEFAULT_MAX_STEPS,
-    start: Iterable[int] | None = None,
-) -> PropagationOutcome:
-    """Sweep constraints in id order until one full sweep changes nothing.
-
-    With ``start``, the first sweep visits only those constraints, and the
-    run ends there if that sweep changed nothing.
-    """
-    return _propagate(csp, box, _sweeps(csp, start), record_trace, max_steps)
-
-
-def propagate_worklist(
-    csp: Csp,
-    box: Box,
-    *,
-    record_trace: bool = False,
-    max_steps: int = _DEFAULT_MAX_STEPS,
-    start: Iterable[int] | None = None,
-) -> PropagationOutcome:
-    """FIFO worklist: a changed variable requeues every constraint on it.
-
-    The queue starts holding all constraints in id order, or the ids in
-    ``start`` in ascending order, and never holds a constraint twice.  When
-    an application changes some variables, every other constraint whose
-    scope mentions one of them is appended again unless already queued.
-    The applied one is not: its kernel runs to a local fixpoint, so its
-    own shrink leaves it stable, and only another constraint's shrink can
-    make it worth applying again.
-    """
-    return _propagate(csp, box, _fifo(csp, start), record_trace, max_steps)
+propagate_roundrobin = _Order(_sweeps)
+propagate_worklist = _Order(_fifo)
 
 
 def propagate_random(
@@ -272,7 +271,7 @@ def propagate_random(
     application adds every constraint sharing a changed variable.
     Deterministic for a given seed.
     """
-    return _propagate(csp, box, _uniform(csp, start, seed), record_trace, max_steps)
+    return _Order(partial(_uniform, seed=seed))(csp, box, record_trace=record_trace, max_steps=max_steps, start=start)
 
 
 def get_engine(spec: str) -> Engine:
@@ -287,18 +286,6 @@ def get_engine(spec: str) -> Engine:
             seed = int(tail)
         except ValueError:
             raise ValueError(f"bad random seed {tail!r} in engine spec {spec!r}") from None
-        return partial(propagate_random, seed=seed)
+        return _Order(partial(_uniform, seed=seed))
     raise ValueError(f"unknown propagation order {spec!r}")
 
-
-# the built-in engines as defined here: no wrapper patched over their names
-_ORDERS = ((propagate_roundrobin, _sweeps), (propagate_worklist, _fifo))
-_RANDOM = propagate_random
-
-
-def _schedule(engine: Engine) -> Callable[[Csp, Iterable[int] | None], Schedule] | None:
-    """The schedule, as ``schedule(csp, start)``, of a built-in order: the
-    roundrobin, worklist or get_engine's random:<seed>; None for others."""
-    if type(engine) is partial and engine.func is _RANDOM and not engine.args and engine.keywords.keys() == {"seed"}:
-        return partial(_uniform, seed=engine.keywords["seed"])
-    return next((schedule for order, schedule in _ORDERS if order is engine), None)

@@ -46,10 +46,12 @@ gets at most what is left of it.
 A node owns two bound lists, as the propagation loop reads them: the
 root's are copies of the initial box's, and each half of a split copies
 the list it changes and takes over its parent's other one.  A built-in order
-(propagate_roundrobin, propagate_worklist, or get_engine's random:<seed>)
-runs in place on them, and a Box is built only for a Krawczyk stage, an
-emitted box or a kept pruned box.  Any other engine is called once per
-run with a Box, through the Engine protocol; both give the same report.
+(propagate_roundrobin, propagate_worklist, or what get_engine returns)
+carries its schedule, which the search runs in place on them, and a Box is
+built only for a Krawczyk stage, an emitted box or a kept pruned box.  Any
+other engine, a wrapper or a functools.partial of propagate_random too, is
+called once per run with a Box, through the Engine protocol; both give the
+same report.
 
 Split halves share their cut point, so a solution sitting exactly on a cut
 can legitimately surface in two adjacent enclosures.
@@ -67,7 +69,7 @@ from .contractors import TraceRecord
 from .decompose import Csp
 from .interval import Interval, _midpoint
 from .newton import _stage
-from .propagation import _PROVED_EMPTY, _STALLED, Engine, _run, _schedule, _traced, propagate_worklist
+from .propagation import _PROVED_EMPTY, _STALLED, Engine, _Order, _run, _traced, propagate_worklist
 
 __all__ = [
     "SolveStatus",
@@ -235,10 +237,10 @@ def solve(
 ) -> SolveReport:
     """Depth-first branch-and-prune from the CSP's initial box.
 
-    A built-in order runs in place on the node's bound lists (see the
-    module docstring).  Any other ``engine`` is called as ``engine(csp,
-    box, record_trace=..., start=..., max_steps=...)``, once per node and
-    again after each Krawczyk stage that narrowed the node's box.
+    A built-in order runs its schedule in place on the node's bound
+    lists (see the module docstring).  Any other ``engine`` is called as
+    ``engine(csp, box, record_trace=..., start=..., max_steps=...)``, once
+    per node and again after each Krawczyk stage that narrowed its box.
     ``start`` is the split variable's watchers for a child of a node that
     reached its fixpoint, and None at the root, after a Krawczyk stage and
     for a child of a node that stalled (see the propagation engines).  A
@@ -283,9 +285,9 @@ def solve(
     watchers = csp.watchers
     budget = _SEARCH_BUDGET
     run_budget = 4 * len(csp.constraints)
-    # an empty initial box goes to the engine, whose run tests emptiness;
-    # traced kernels append to one list, emptied after each run
-    schedule = None if initial.is_empty else _schedule(engine)
+    # a built-in order runs in place, unless the box is empty: the engine
+    # tests that; traced kernels append to one list, emptied after each run
+    schedule = engine.schedule if type(engine) is _Order and not initial.is_empty else None
     run_trace: list[TraceRecord] = []
     lifted = _traced(csp, run_trace) if record_trace else csp.lifted
     # a node's path is its depth and the integer whose low `depth` bits

@@ -261,6 +261,15 @@ def test_krawczyk_returns_an_empty_box_unchanged():
     assert krawczyk(csp, box) is box
 
 
+def test_krawczyk_names_the_user_variables_a_box_lacks():
+    csp = compile_problem("var x in [0, 2]; var y in [0, 2]; constraint x = y; constraint x*y = 1;")
+    for box in (Box({"x": Interval(0.5, 1.5)}), empty_box(("x",))):
+        with pytest.raises(ValueError, match=r"\['y'\]"):
+            krawczyk(csp, box)
+    # the user variables alone are enough
+    assert krawczyk(csp, csp.initial_box.project(csp.user_vars)).names == ("x", "y")
+
+
 def test_a_midpoint_jacobian_whose_inverse_overflows_has_no_float_y():
     # 1 / 1e-310 overflows: the pivot is finite and nonzero, the inverse not
     assert _inverse([[1e-310]]) is None

@@ -335,6 +335,11 @@ def test_empty_start_applies_nothing(name, engine):
     csp = quartic_csp_xyzu()
     out = engine(csp, csp.initial_box, start=(), record_trace=True)
     assert out == PropagationOutcome(csp.initial_box, Status.FEASIBLE_UNKNOWN, 0, 0, ())
+    # and a start set that repeats an id schedules it once
+    for box in (csp.initial_box, PLATEAU):
+        once = engine(csp, box, start=(0,), record_trace=True)
+        assert engine(csp, box, start=(0, 0), record_trace=True) == once
+        assert engine(csp, box, start=(3, 1, 3), record_trace=True) == engine(csp, box, start=(1, 3), record_trace=True)
 
 
 def test_worklist_queues_the_start_set_in_id_order():

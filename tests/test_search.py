@@ -5,6 +5,7 @@ import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -27,6 +28,7 @@ from boxprune import (
     grid_solutions,
     krawczyk,
     pick_split_var,
+    propagate_random,
     propagate_roundrobin,
     propagate_worklist,
     solve,
@@ -659,8 +661,11 @@ def test_a_built_in_order_runs_as_an_opaque_engine_around_it_does(monkeypatch, n
     expected = report_bits(_solve_to_the_end(csp, engine=opaque, **kwargs))
     with monkeypatch.context() as patch:
         # the built-in order makes no engine call
-        patch.setattr(propagation, "_propagate", None)
+        patch.setattr(propagation._Order, "__call__", None)
         assert report_bits(_solve_to_the_end(csp, engine=engine, **kwargs)) == expected
+    if order == "random:7":
+        # a partial is not a built-in order: solve calls it once per run
+        assert report_bits(_solve_to_the_end(csp, engine=partial(propagate_random, seed=7), **kwargs)) == expected
     if name.startswith("draw-"):
         assert expected[3][0] > 0 and any(stalled)
 
