@@ -14,7 +14,7 @@ a box owns it, so boxes may share them.  Intervals are built on request.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Collection, Iterable, Iterator, Mapping
 from typing import Union
 
 from .interval import _INF, EMPTY, FULL, Interval, _fmt, _raw
@@ -97,8 +97,7 @@ class Box:
         return f"Box({dict(self.items())!r})"
 
     def __str__(self) -> str:
-        inner = ", ".join(f"{v}={_fmt(lo, hi)}" for v, lo, hi in zip(self._slot, self._lo, self._hi))
-        return "{" + inner + "}"
+        return _bindings_text(self, self._slot)
 
     def project(self, variables: Iterable[str]) -> "Box":
         """Restrict to a subset of the scope."""
@@ -141,9 +140,19 @@ class Box:
         Infinite bounds serialize as the strings "inf" / "-inf" since JSON
         has no infinity literal.
         """
-        if self.is_empty:
-            return None
-        return {v: [_json_bound(self._lo[s]), _json_bound(self._hi[s])] for v, s in self._slot.items()}
+        return _bindings_obj(self, self._slot)
+
+
+def _bindings_text(box: Box, names: Collection[str]) -> str:
+    """str of the box projected on the sorted ``names``."""
+    return "{" + ", ".join(f"{v}={_fmt(box._lo[box._slot[v]], box._hi[box._slot[v]])}" for v in names) + "}"
+
+
+def _bindings_obj(box: Box, names: Collection[str]) -> dict[str, list] | None:
+    """to_json_obj of the box projected on the sorted ``names``."""
+    if names and box.is_empty:
+        return None
+    return {v: [_json_bound(box._lo[box._slot[v]]), _json_bound(box._hi[box._slot[v]])] for v in names}
 
 
 def _json_bound(x: float):

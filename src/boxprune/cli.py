@@ -18,9 +18,8 @@ import argparse
 import json
 import sys
 
-from .boxes import Box, _json_bound
+from .boxes import _bindings_obj, _bindings_text
 from .decompose import Csp, ParseError, compile_problem, render_problem
-from .interval import _fmt
 from .oracle import GridSpec, grid_solutions
 from .propagation import PropagationOutcome, Status, get_engine
 from .search import BudgetExceeded, SolveReport, SolveStatus, solve
@@ -57,18 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--show-aux", action="store_true", help="include auxiliary variables in printed boxes")
     p.add_argument("--echo", action="store_true", help="print the canonical form of the parsed problem and exit")
     return p
-
-
-def _bindings_obj(box: Box, names) -> dict | None:
-    """to_json_obj of the box projected on the sorted ``names``."""
-    if names and box.is_empty:
-        return None
-    return {v: [_json_bound(box._lo[box._slot[v]]), _json_bound(box._hi[box._slot[v]])] for v in names}
-
-
-def _bindings_text(box: Box, names) -> str:
-    """str of the box projected on the sorted ``names``."""
-    return "{" + ", ".join(f"{v}={_fmt(box._lo[box._slot[v]], box._hi[box._slot[v]])}" for v in names) + "}"
 
 
 def render_report(

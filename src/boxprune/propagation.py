@@ -20,9 +20,10 @@ The loop (_run) works on the system as compiled by Csp: it applies each
 constraint's float-level kernel in place to two bound lists, the lower and
 upper bounds of every variable in slot order, and tells the schedule which
 slots shrank.  A built-in order (_Order) holds its schedule; calling it runs
-the loop on copies of its box's lists, which the fixpoint Box adopts, and
-the search runs the schedule on lists of its own.  A traced run hands the
-loop kernels wrapped to record each application.
+the loop on copies of its box's lists, which the fixpoint Box adopts.  A
+search that records no trace and keeps no pruned box runs the schedule on
+lists of its own; any other search calls the order.  A traced run hands
+the loop kernels wrapped to record each application.
 
 An engine that has spent ``max_steps`` applications short of the fixpoint
 stops and returns its current iterate with Status.STALLED.  Every

@@ -646,8 +646,9 @@ def _solve_to_the_end(csp, **kwargs):
 @pytest.mark.parametrize("order", ["worklist", "roundrobin", "random:7"])
 @pytest.mark.parametrize("name,text,eps,max_boxes", NODE_RUNS, ids=[case[0] for case in NODE_RUNS])
 def test_a_built_in_order_runs_as_an_opaque_engine_around_it_does(monkeypatch, name, text, eps, max_boxes, order):
-    # solve runs a built-in order in place on the node's bound lists, and
-    # calls any other engine once per run with a Box; both give every bit
+    # a plain solve runs a built-in order in place on the node's bound
+    # lists, and any other solve or engine calls the engine once per run
+    # with a Box; both give every bit
     csp = compile_problem(text)
     engine = get_engine(order)
     stalled = []
@@ -657,15 +658,21 @@ def test_a_built_in_order_runs_as_an_opaque_engine_around_it_does(monkeypatch, n
         stalled.append(outcome.status is Status.STALLED)
         return outcome
 
-    kwargs = dict(eps=eps, max_boxes=max_boxes, keep_pruned=True, record_trace=True)
-    expected = report_bits(_solve_to_the_end(csp, engine=opaque, **kwargs))
+    plain = dict(eps=eps, max_boxes=max_boxes)
+    evidence = dict(plain, keep_pruned=True, record_trace=True)
+    expected_plain = report_bits(_solve_to_the_end(csp, engine=opaque, **plain))
+    expected = report_bits(_solve_to_the_end(csp, engine=opaque, **evidence))
+    assert expected_plain[0] == expected[0] and expected_plain[3:] == expected[3:]
     with monkeypatch.context() as patch:
-        # the built-in order makes no engine call
+        # on a plain solve the built-in order makes no engine call
         patch.setattr(propagation._Order, "__call__", None)
-        assert report_bits(_solve_to_the_end(csp, engine=engine, **kwargs)) == expected
+        assert report_bits(_solve_to_the_end(csp, engine=engine, **plain)) == expected_plain
+    assert report_bits(_solve_to_the_end(csp, engine=engine, **evidence)) == expected
     if order == "random:7":
         # a partial is not a built-in order: solve calls it once per run
-        assert report_bits(_solve_to_the_end(csp, engine=partial(propagate_random, seed=7), **kwargs)) == expected
+        random7 = partial(propagate_random, seed=7)
+        assert report_bits(_solve_to_the_end(csp, engine=random7, **plain)) == expected_plain
+        assert report_bits(_solve_to_the_end(csp, engine=random7, **evidence)) == expected
     if name.startswith("draw-"):
         assert expected[3][0] > 0 and any(stalled)
 
@@ -673,19 +680,23 @@ def test_a_built_in_order_runs_as_an_opaque_engine_around_it_does(monkeypatch, n
 @pytest.mark.parametrize("order", ["worklist", "roundrobin", "random:7"])
 @pytest.mark.parametrize("name,text,eps,max_boxes", NODE_RUNS, ids=[case[0] for case in NODE_RUNS])
 def test_in_place_runs_never_change_a_box_the_caller_or_the_report_holds(name, text, eps, max_boxes, order):
+    # a plain solve runs in place; one that keeps pruned boxes calls the engine
     csp = compile_problem(text)
     initial = box_bits(csp.initial_box)
-    kwargs = dict(eps=eps, engine=get_engine(order), keep_pruned=True)
-    full = report_bits(_solve_to_the_end(csp, max_boxes=max_boxes, **kwargs))
+    plain = dict(eps=eps, engine=get_engine(order))
+    kept = dict(plain, keep_pruned=True)
+    full = report_bits(_solve_to_the_end(csp, max_boxes=max_boxes, **plain))
     assert box_bits(csp.initial_box) == initial
-    assert report_bits(_solve_to_the_end(csp, max_boxes=max_boxes, **kwargs)) == full
+    assert report_bits(_solve_to_the_end(csp, max_boxes=max_boxes, **plain)) == full
+    pruned = report_bits(_solve_to_the_end(csp, max_boxes=max_boxes, **kept))[1]
+    assert box_bits(csp.initial_box) == initial
     # a search cut short at k boxes stops right after keeping its k-th, so
     # a box that the longer search changed after keeping it would differ
-    atomic, pruned = full[0], full[1]
+    atomic = full[0]
     for k in sorted({k for k in (1, len(atomic) // 2, len(atomic) - 1) if k > 0}):
-        cut = report_bits(_solve_to_the_end(csp, max_boxes=k, **kwargs))
-        assert cut[0] == atomic[:k]
-        assert cut[1] == pruned[: len(cut[1])]
+        assert report_bits(_solve_to_the_end(csp, max_boxes=k, **plain))[0] == atomic[:k]
+        cut = report_bits(_solve_to_the_end(csp, max_boxes=k, **kept))[1]
+        assert cut == pruned[: len(cut)]
 
 
 def test_optional_report_fields_default_to_none():
@@ -706,16 +717,57 @@ def test_keep_pruned_stores_the_unpropagated_nodes():
         assert out.fixpoint.is_empty
 
 
-def test_record_trace_collects_per_node_traces():
-    csp = compile_problem(QUARTIC_UNIT)
-    report = solve(csp, eps=1e-10, record_trace=True)
+# Broyden n = 4 propagates its root again after a Krawczyk stage narrows it
+@pytest.mark.parametrize("text,eps", [(QUARTIC_UNIT, 1e-10), (broyden(4), 1e-8)], ids=["quartic", "broyden-4"])
+def test_record_trace_collects_per_node_traces(text, eps):
+    csp = compile_problem(text)
+    report = solve(csp, eps=eps, record_trace=True)
     assert report.traces is not None
     assert report.traces[0][0] == ""  # root node first
+    # one entry per node: a restarted node's runs share it
+    paths = [path for path, _ in report.traces]
+    assert len(set(paths)) == len(paths)
     assert sum(len(t) for _, t in report.traces) == report.stats.contractor_applications
     for path, trace in report.traces:
         assert set(path) <= {"0", "1"}
         for record in trace:
             assert record.kind in {"sum", "mul", "sq", "const"}
+
+
+DIAGONAL = "var x in [-2, 2]; var y in [-2, 2]; constraint x = y;"
+
+
+# the run budget of Broyden n = 4 is 4 * 29 = 116 applications: its root
+# stalls, a Krawczyk stage narrows it, and the budget stops the rerun
+@pytest.mark.parametrize(
+    "text,eps,budget,order,expected,krawczyk_steps",
+    [
+        (broyden(4), 1e-8, 116, "worklist", [("", 116)], 7),
+        (DIAGONAL, 1e-10, 1, "worklist", [("", 1)], 0),
+        (DIAGONAL, 1e-10, 3, "worklist", [("", 2), ("0", 1)], 0),
+        (DIAGONAL, 1e-10, 3, "roundrobin", [("", 3)], 0),
+    ],
+    ids=["broyden-4", "diagonal-1", "diagonal-3", "diagonal-3-roundrobin"],
+)
+def test_a_trace_keeps_every_run_up_to_a_budget_stop(monkeypatch, text, eps, budget, order, expected, krawczyk_steps):
+    monkeypatch.setattr(search, "_SEARCH_BUDGET", budget)
+    csp = compile_problem(text)
+    engine = get_engine(order)
+
+    def opaque(csp_, box, **kwargs):
+        return engine(csp_, box, **kwargs)
+
+    reports = []
+    for used in (engine, opaque):
+        with pytest.raises(BudgetExceeded) as info:
+            solve(csp, eps=eps, engine=used, record_trace=True)
+        report = info.value.report
+        assert report.exhausted == "contractor application"
+        assert report.stats.contractor_applications == budget
+        assert report.stats.krawczyk_steps == krawczyk_steps
+        assert [(path, len(records)) for path, records in report.traces] == expected
+        reports.append(report_bits(report))
+    assert reports[0] == reports[1]
 
 
 def test_stats_accumulate():
