@@ -45,15 +45,17 @@ gets at most what is left of it.
 
 A node owns two bound lists, as the propagation loop reads them: the
 root's are copies of the initial box's, and each half of a split copies
-the list it changes and takes over its parent's other one.  A solve that
-keeps no pruned box and records no trace runs a built-in order's schedule
-(propagate_roundrobin, propagate_worklist, or what get_engine returns) in
-place on them, and builds a Box only for a Krawczyk stage or an emitted
-box.  Any other solve or engine, a wrapper or a functools.partial of
-propagate_random too, calls the engine once per run with a Box, through
-the Engine protocol, which returns the run's trace; no engine changes a
-box's lists, so that Box is what a kept pruned node shows.  Both give the
-same report.
+the list it changes and takes over its parent's other one.  A solve with a
+built-in order (propagate_roundrobin, propagate_worklist, or what
+get_engine returns) primes the order's schedule once and runs every node
+in place on those lists under it, building a Box only for a Krawczyk
+stage, an emitted box or a kept pruned one, which copies the node's lists
+before the run.  A traced solve wraps the kernels once, and moves each
+run's records from one buffer into the node's trace.  Any other engine, a
+wrapper or a functools.partial of propagate_random too, is called once per
+run with a Box, through the Engine protocol, which returns the run's
+trace; no engine changes a box's lists, so that Box is what a kept pruned
+node shows.  Both give the same report.
 
 Split halves share their cut point, so a solution sitting exactly on a cut
 can legitimately surface in two adjacent enclosures.
@@ -71,7 +73,7 @@ from .contractors import TraceRecord
 from .decompose import Csp
 from .interval import Interval, _midpoint
 from .newton import _stage
-from .propagation import _PROVED_EMPTY, _STALLED, Engine, _Order, _run, propagate_worklist
+from .propagation import _PROVED_EMPTY, _STALLED, Engine, _Order, _run, _traced, propagate_worklist
 
 __all__ = [
     "SolveStatus",
@@ -118,9 +120,9 @@ class SolveReport:
     half, '1' = right half, root = '').  ``exhausted`` names the budget
     that stopped the search, "atomic box" or "contractor application",
     and is None when the search finished.  ``pruned_boxes`` is populated
-    only when pruning was asked to keep its evidence (the box handed to
-    the node's last engine call); ``traces`` only when per-node
-    propagation traces were recorded.
+    only when pruning was asked to keep its evidence (the box the node's
+    last run started from); ``traces`` only when per-node propagation
+    traces were recorded.
     """
 
     atomic_boxes: tuple[tuple[Box, str], ...]
@@ -239,15 +241,15 @@ def solve(
 ) -> SolveReport:
     """Depth-first branch-and-prune from the CSP's initial box.
 
-    Without ``keep_pruned`` or ``record_trace``, a built-in order runs its
-    schedule in place on the node's bound lists (see the module
-    docstring).  Otherwise, and for any other ``engine``, it is called as
-    ``engine(csp, box, record_trace=..., start=..., max_steps=...)``, once
-    per node and again after each Krawczyk stage that narrowed its box.
-    ``start`` is the split variable's watchers for a child of a node that
-    reached its fixpoint, and None at the root, after a Krawczyk stage and
-    for a child of a node that stalled (see the propagation engines).  A
-    node's trace concatenates the traces of its runs.  Raises
+    A built-in order runs one schedule in place on the node's bound lists
+    (see the module docstring).  Any other ``engine`` is called as
+    ``engine(csp, box, record_trace=..., start=..., max_steps=...)``.
+    Either runs once per node and again after each Krawczyk stage that
+    narrowed its box.  ``start`` is the split variable's watchers for a
+    child of a node that reached its fixpoint, and None at the root, after
+    a Krawczyk stage and for a child of a node that stalled (see the
+    propagation engines).  A node's trace concatenates the traces of its
+    runs, and a kept pruned box is the box its last run started from.  Raises
     BudgetExceeded, carrying the partial report, rather than emitting an
     atomic box beyond max_boxes or running the engine once the search has
     spent 1,000,000 applications.
@@ -288,10 +290,16 @@ def solve(
     watchers = csp.watchers
     budget = _SEARCH_BUDGET
     run_budget = 4 * len(csp.constraints)
-    # a built-in order runs in place when the report keeps no run's box or
-    # trace, unless the box is empty: the engine tests that
-    in_place = type(engine) is _Order and not (initial.is_empty or record_trace or keep_pruned)
-    schedule = engine.schedule if in_place else None
+    send = None
+    # a built-in order runs in place under one schedule for the whole
+    # search, unless the box is empty: the engine tests that
+    if type(engine) is _Order and not initial.is_empty:
+        schedule = engine.schedule(csp)
+        next(schedule)
+        send = schedule.send
+        # a traced run's kernels append to one buffer, emptied after each run
+        buffer: list[TraceRecord] = []
+        lifted = _traced(csp, buffer) if record_trace else csp.lifted
     # a node's path is its depth and the integer whose low `depth` bits
     # spell the path; the string is built only for nodes the report keeps
     stack: list[tuple] = [(0, 0, initial._lo[:], initial._hi[:], None)]
@@ -303,21 +311,27 @@ def solve(
         if depth > max_depth:
             max_depth = depth
         max_steps = run_budget if run_budget < remaining else remaining
-        if schedule is None:
+        if send is None:
             # a kept pruned box is the box of the node's last run
             box = Box._adopt(slot, lo, hi)
             outcome = engine(csp, box, record_trace=record_trace, start=start, max_steps=max_steps)
-            fixpoint, steps = outcome.fixpoint, outcome.steps
+            fixpoint, steps, trace = outcome.fixpoint, outcome.steps, outcome.trace
             lo, hi, status = fixpoint._lo, fixpoint._hi, _PROVED_EMPTY if fixpoint.is_empty else outcome.status
-            if record_trace:
-                path = _path(depth, bits)
-                if traces and traces[-1][0] == path:
-                    # a restart, popped right after the run it continues
-                    traces[-1] = (path, traces[-1][1] + outcome.trace)
-                else:
-                    traces.append((path, outcome.trace))
         else:
-            status, steps, _ = _run(csp.lifted, lo, hi, schedule(csp, start), max_steps)
+            if keep_pruned:
+                # copies, since the run narrows the node's lists
+                box = Box._adopt(slot, lo[:], hi[:])
+            status, steps, _ = _run(lifted, lo, hi, send, start, max_steps)
+            if record_trace:
+                trace = tuple(buffer)
+                buffer.clear()
+        if record_trace:
+            path = _path(depth, bits)
+            if traces and traces[-1][0] == path:
+                # a restart, popped right after the run it continues
+                traces[-1] = (path, traces[-1][1] + trace)
+            else:
+                traces.append((path, trace))
         applications += steps
         if status is _STALLED:
             fixpoint = narrowed = Box._adopt(slot, lo, hi)

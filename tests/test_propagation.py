@@ -24,6 +24,7 @@ from boxprune import (
     propagate_worklist,
     split,
 )
+from boxprune.propagation import _run, _traced
 from boxprune.search import is_splittable
 
 from helpers import (
@@ -340,6 +341,54 @@ def test_empty_start_applies_nothing(name, engine):
         once = engine(csp, box, start=(0,), record_trace=True)
         assert engine(csp, box, start=(0, 0), record_trace=True) == once
         assert engine(csp, box, start=(3, 1, 3), record_trace=True) == engine(csp, box, start=(1, 3), record_trace=True)
+
+
+@pytest.mark.parametrize("name,engine", ENGINES)
+def test_a_start_id_outside_the_system_raises(name, engine):
+    # two constraints: _t0 = 0 and x + _t0 = y
+    csp = compile_problem("var x in [0, 4]; var y in [1, 2]; constraint x = y;")
+    for start in ((-1,), (2,), (7,), (1, -1), (0, 2)):
+        for box in (csp.initial_box, empty_box(csp.names)):
+            with pytest.raises(ValueError, match="start"):
+                engine(csp, box, start=start)
+    assert engine(csp, csp.initial_box, start=(1, 0, 1)) == engine(csp, csp.initial_box)
+
+
+def _traced_run(csp, send, lo, hi, start, max_steps):
+    """One run of the loop on copies of lo, hi under a primed schedule's
+    ``send``, with every bit it produces."""
+    lo, hi, trace = lo[:], hi[:], []
+    status, steps, effective = _run(_traced(csp, trace), lo, hi, send, start, max_steps)
+    records = [(r.cid, r.kind, box_bits(r.before), box_bits(r.after), r.changed) for r in trace]
+    return status, steps, effective, [b.hex() for b in lo + hi], records
+
+
+@pytest.mark.parametrize("order", ["worklist", "roundrobin", "random:7"])
+def test_one_schedule_serves_a_whole_search(order):
+    # a search primes one schedule and runs node after node under it, so a
+    # run that stopped early must leave nothing behind for the next one
+    csp = compile_problem(broyden(2))
+    engine = get_engine(order)
+    initial = csp.initial_box
+    slot = csp.names.index("x1")
+    root = engine(csp, initial).fixpoint
+    half = split(root, "x1")[0]
+    empty = initial.with_intervals({"x1": Interval(0.5, 1.0)})
+    runs = [
+        (initial, None, 5, Status.STALLED),
+        (empty, None, 1000, Status.PROVED_EMPTY),
+        (half, csp.watchers[slot], 1000, Status.FEASIBLE_UNKNOWN),
+        (initial, None, 10_000, Status.FEASIBLE_UNKNOWN),
+    ]
+    shared = engine.schedule(csp)
+    next(shared)
+    # twice over, so that each kind of run also follows each of the others
+    for box, start, max_steps, status in runs + runs:
+        fresh = engine.schedule(csp)
+        next(fresh)
+        expected = _traced_run(csp, fresh.send, box._lo, box._hi, start, max_steps)
+        assert expected[0] is status
+        assert _traced_run(csp, shared.send, box._lo, box._hi, start, max_steps) == expected
 
 
 def test_worklist_queues_the_start_set_in_id_order():

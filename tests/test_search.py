@@ -646,9 +646,9 @@ def _solve_to_the_end(csp, **kwargs):
 @pytest.mark.parametrize("order", ["worklist", "roundrobin", "random:7"])
 @pytest.mark.parametrize("name,text,eps,max_boxes", NODE_RUNS, ids=[case[0] for case in NODE_RUNS])
 def test_a_built_in_order_runs_as_an_opaque_engine_around_it_does(monkeypatch, name, text, eps, max_boxes, order):
-    # a plain solve runs a built-in order in place on the node's bound
-    # lists, and any other solve or engine calls the engine once per run
-    # with a Box; both give every bit
+    # a solve runs a built-in order in place on the node's bound lists,
+    # and calls any other engine once per run with a Box; both give every
+    # bit
     csp = compile_problem(text)
     engine = get_engine(order)
     stalled = []
@@ -664,10 +664,10 @@ def test_a_built_in_order_runs_as_an_opaque_engine_around_it_does(monkeypatch, n
     expected = report_bits(_solve_to_the_end(csp, engine=opaque, **evidence))
     assert expected_plain[0] == expected[0] and expected_plain[3:] == expected[3:]
     with monkeypatch.context() as patch:
-        # on a plain solve the built-in order makes no engine call
+        # the built-in order makes no engine call, traced or not
         patch.setattr(propagation._Order, "__call__", None)
         assert report_bits(_solve_to_the_end(csp, engine=engine, **plain)) == expected_plain
-    assert report_bits(_solve_to_the_end(csp, engine=engine, **evidence)) == expected
+        assert report_bits(_solve_to_the_end(csp, engine=engine, **evidence)) == expected
     if order == "random:7":
         # a partial is not a built-in order: solve calls it once per run
         random7 = partial(propagate_random, seed=7)
@@ -680,7 +680,7 @@ def test_a_built_in_order_runs_as_an_opaque_engine_around_it_does(monkeypatch, n
 @pytest.mark.parametrize("order", ["worklist", "roundrobin", "random:7"])
 @pytest.mark.parametrize("name,text,eps,max_boxes", NODE_RUNS, ids=[case[0] for case in NODE_RUNS])
 def test_in_place_runs_never_change_a_box_the_caller_or_the_report_holds(name, text, eps, max_boxes, order):
-    # a plain solve runs in place; one that keeps pruned boxes calls the engine
+    # every run is in place, and a kept pruned box copies its node's lists
     csp = compile_problem(text)
     initial = box_bits(csp.initial_box)
     plain = dict(eps=eps, engine=get_engine(order))
